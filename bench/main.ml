@@ -135,6 +135,8 @@ let ratio a b =
 (* ------------------------------------------------------------------ *)
 (* P1: result transport — text-encoded vs XML materialization          *)
 
+let p1_json_path = "BENCH_P1.json"
+
 let p1 () =
   print_endline "\n== P1: result handling, text transport vs XML (section 4) ==";
   let configs =
@@ -200,6 +202,33 @@ let p1 () =
       let t = estimate results (Printf.sprintf "p1/text rows=%d cols=%d" rows cols) in
       Printf.printf "  rows=%-4d cols=%-2d : %.2fx\n" rows cols (ratio x t))
     cases;
+  (* stamped with seed and core count; validate.exe gates every
+     scale's text_over_xml *)
+  let jf f = if Float.is_nan f then "null" else Printf.sprintf "%.1f" f in
+  let jr f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f in
+  let oc = open_out p1_json_path in
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"P1\",\n  \"description\": \"full-pipeline \
+     result transport (server execute plus client decode to rows): the \
+     section-4 text wrapper against XML\",\n  \"units\": \"ns per \
+     statement\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"cores\": %d,\n  \
+     \"scales\": [\n"
+    seed !smoke
+    (Aqua_multicore.Mcore.num_cores ());
+  let n = List.length cases in
+  List.iteri
+    (fun i (rows, cols, _, _) ->
+      let x = estimate results (Printf.sprintf "p1/xml rows=%d cols=%d" rows cols) in
+      let t = estimate results (Printf.sprintf "p1/text rows=%d cols=%d" rows cols) in
+      Printf.fprintf oc
+        "    { \"rows\": %d, \"cols\": %d, \"xml_ns\": %s, \"text_ns\": %s, \
+         \"text_over_xml\": %s }%s\n"
+        rows cols (jf x) (jf t) (jr (ratio x t))
+        (if i = n - 1 then "" else ","))
+    cases;
+  Printf.fprintf oc "  ]\n}\n";
+  close_out oc;
+  Printf.printf "wrote %s\n" p1_json_path;
   flush stdout
 
 (* P1b isolates what the paper's claim is about: the JDBC driver's

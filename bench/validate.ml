@@ -5,16 +5,18 @@
      dune exec bench/validate.exe -- --max-overhead 1.5 BENCH_P9.json
      dune exec bench/validate.exe -- --prom metrics.prom
 
-   JSON files are dispatched on their "experiment" field (P6 join
-   strategy, P9 observability overhead, P10 scan materialization, P11
-   concurrent serving throughput, P12 batched execution, P13
-   wire-protocol serving).  --prom switches to linting Prometheus text
-   expositions ({!Aqua_obs.Expose.lint}); --max-overhead R additionally
-   fails a P9 file whose measured probe overhead ratio exceeds R;
-   --min-speedup S fails a P10 file whose warm-phase speedup is below S
-   and a P12 file where any scale's speedup_at_1024 is below S.  A P12
-   file always fails if some scale's batched@1024 median is slower than
-   its row-at-a-time median.  Exit 0 when everything checks out; exit 1
+   JSON files are dispatched on their "experiment" field (P1 text
+   against XML transport, P6 join strategy, P9 observability overhead,
+   P10 scan materialization, P11 concurrent serving throughput, P12
+   batched execution, P13 wire-protocol serving).  --prom switches to
+   linting Prometheus text expositions ({!Aqua_obs.Expose.lint});
+   --max-overhead R additionally fails a P9 file whose measured probe
+   overhead ratio exceeds R; --min-speedup S fails a P10 file whose
+   warm-phase speedup is below S and a P12 file where any scale's
+   speedup_at_1024 is below S.  A P1 file always fails if some scale's
+   text transport is less than 1.5x faster than XML.  A P12 file always
+   fails if some scale's batched@1024 median is slower than its
+   row-at-a-time median.  Exit 0 when everything checks out; exit 1
    with a list of problems otherwise. *)
 
 module Json = Aqua_core.Json
@@ -606,8 +608,40 @@ let validate_p14 ?max_overhead path json =
     | _ -> problem "%s: \"overhead\" is not a number on a multicore run" path
   end
 
+(* P1: the section-4 text transport against XML, end to end.  The
+   paper's claim is that text "measurably improved" performance; the
+   gate holds every scale to at least [p1_min_text_over_xml]. *)
+let p1_min_text_over_xml = 1.5
+
+let validate_p1 path json =
+  check_field path json "seed" is_int "an integer";
+  check_field path json "smoke" is_bool "a boolean";
+  check_field path json "cores" is_int "an integer";
+  match Json.member "scales" json with
+  | Some (Json.Arr []) -> problem "%s: \"scales\" is empty" path
+  | Some (Json.Arr scales) ->
+    List.iteri
+      (fun i scale ->
+        let spath = Printf.sprintf "%s: scales[%d]" path i in
+        List.iter
+          (fun name -> check_field spath scale name is_int "an integer")
+          [ "rows"; "cols" ];
+        List.iter
+          (fun name ->
+            check_field spath scale name is_number_or_null "a number or null")
+          [ "xml_ns"; "text_ns" ];
+        match Json.member "text_over_xml" scale with
+        | Some (Json.Num r) when r < p1_min_text_over_xml ->
+          problem "%s: text transport %.2fx over XML, below the %.2fx bound"
+            spath r p1_min_text_over_xml
+        | Some (Json.Num _) -> ()
+        | _ -> problem "%s: \"text_over_xml\" is not a number" spath)
+      scales
+  | _ -> problem "%s: missing array \"scales\"" path
+
 let validate ?max_overhead ?min_speedup path json =
   match Json.member "experiment" json with
+  | Some (Json.Str "P1") -> validate_p1 path json
   | Some (Json.Str e)
     when String.length e >= 3 && String.sub e 0 3 = "P15" ->
     validate_p15 ?min_speedup path json

@@ -304,6 +304,18 @@ let analyze_cmd =
             (fun note -> Printf.printf "  note: %s\n" note)
             report.Aqua_xqeval.Optimize.notes
         end;
+        (* how the driver's text transport encodes this query's rows *)
+        Printf.printf "encode: %s\n"
+          (if no_optimize then "general (--no-optimize)"
+           else
+             match
+               (snd
+                  (Aqua_xqeval.Optimize.query
+                     (Translator.for_text_transport t)))
+                 .Aqua_xqeval.Optimize.encode
+             with
+             | Some e -> Aqua_xqeval.Optimize.encode_label e
+             | None -> "general (no text wrapper)");
         if no_scan_cache then
           Printf.printf "scan cache: disabled (--no-scan-cache)\n"
         else begin

@@ -9,10 +9,6 @@
     on the same property).  SQL NULL is encoded by [fn-bea:if-empty]
     as a NUL byte, which escaped data can never contain. *)
 
-val row_prefix : string
-val column_separator : string
-val null_marker : string
-
 val wrap : Aqua_xquery.Ast.query -> Outcol.t list -> Aqua_xquery.Ast.query
 (** Wraps a RECORDSET-producing query for the text transport. *)
 

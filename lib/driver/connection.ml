@@ -308,7 +308,7 @@ let observe_run ~digest ~shape ~stages ~plan run =
 
 let observing () = Stats.enabled () || Recorder.enabled ()
 
-let execute_query ?limits t sql =
+let execute_query ?limits ?fingerprint t sql =
   let stages = fresh_stages () in
   let limits = match limits with Some l -> l | None -> t.limits in
   let run () =
@@ -326,7 +326,11 @@ let execute_query ?limits t sql =
   in
   if not (observing ()) then run ()
   else
-    let digest, shape = Fingerprint.fingerprint sql in
+    let digest, shape =
+      match fingerprint with
+      | Some fp -> fp
+      | None -> Fingerprint.fingerprint sql
+    in
     let plan = if t.optimize then "optimized" else "unoptimized" in
     observe_run ~digest ~shape ~stages ~plan run
 
@@ -506,14 +510,7 @@ module Prepared = struct
       | Text ->
         let text =
           timed exec (fun () ->
-              let buf = Buffer.create 256 in
-              List.iter
-                (fun item ->
-                  match item with
-                  | Item.Atomic a -> Buffer.add_string buf (Atomic.to_lexical a)
-                  | Item.Node _ -> invalid_arg "text transport returned a node")
-                (Server.execute_prepared ~bindings stmt.compiled_text);
-              Buffer.contents buf)
+              Server.execute_prepared_to_text ~bindings stmt.compiled_text)
         in
         timed dec (fun () -> Result_set.of_encoded_text columns text)
     in

@@ -105,11 +105,19 @@ val translation_cache_clock : t -> int
 val clear_translation_cache : t -> unit
 
 val execute_query :
-  ?limits:Aqua_resilience.Budget.limits -> t -> string -> Result_set.t
+  ?limits:Aqua_resilience.Budget.limits ->
+  ?fingerprint:string * string ->
+  t ->
+  string ->
+  Result_set.t
 (** Translate, execute on the server, decode through the connection's
     transport — the full pipeline, run under the connection's budget
     (or [limits], when given — the session pool passes each session's
     own budget here) with every failure mapped through {!Sql_error}.
+    [fingerprint] is the statement's [(digest, shape)] from
+    {!Aqua_obs.Fingerprint.fingerprint}, when the caller has already
+    computed it; otherwise it is computed here if the statement is
+    observed.
     If the optimized evaluator crashes mid-query, the driver retries
     once on the unoptimized server (graceful degradation, counted as
     [driver.fallbacks_unoptimized] in telemetry).

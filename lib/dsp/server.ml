@@ -185,16 +185,22 @@ let execute_text ?bindings t src =
 let execute_to_xml ?bindings t q =
   Aqua_xml.Serialize.sequence_to_string (execute ?bindings t q)
 
-let execute_to_text ?bindings t q =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun item ->
-      match item with
-      | Item.Atomic a -> Buffer.add_string buf (Aqua_xml.Atomic.to_lexical a)
-      | Item.Node _ ->
-        fail "text transport expected a string result, got a node")
-    (execute ?bindings t q);
-  Buffer.contents buf
+(* A wrapper query returns the single string [fn:string-join] built
+   (for fused rows: the encoder's buffer), passed on without a copy. *)
+let text_of_sequence = function
+  | [ Item.Atomic (Aqua_xml.Atomic.String s) ] -> s
+  | seq ->
+    let buf = Buffer.create 1024 in
+    List.iter
+      (fun item ->
+        match item with
+        | Item.Atomic a -> Buffer.add_string buf (Aqua_xml.Atomic.to_lexical a)
+        | Item.Node _ ->
+          fail "text transport expected a string result, got a node")
+      seq;
+    Buffer.contents buf
+
+let execute_to_text ?bindings t q = text_of_sequence (execute ?bindings t q)
 
 type prepared = Aqua_xqeval.Compile.compiled
 
@@ -207,6 +213,9 @@ let prepare ?(vars = []) t (q : X.query) =
 
 let execute_prepared ?bindings prepared =
   Aqua_xqeval.Compile.run ?bindings prepared
+
+let execute_prepared_to_text ?bindings prepared =
+  text_of_sequence (execute_prepared ?bindings prepared)
 
 let call_function t ~path ~name ~fn args =
   match Artifact.find_service t.app ~path ~name with

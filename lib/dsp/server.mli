@@ -102,8 +102,8 @@ val execute_to_text :
   Aqua_xquery.Ast.query ->
   string
 (** [execute] for a wrapper query that already returns the
-    text-encoded row stream: concatenates the resulting string
-    sequence. *)
+    text-encoded row stream: the single string it returns, uncopied
+    (a longer string sequence is concatenated). *)
 
 type prepared
 (** A query compiled once (via {!Aqua_xqeval.Compile}) for repeated
@@ -121,6 +121,11 @@ val execute_prepared :
   prepared ->
   Aqua_xml.Item.sequence
 (** @raise Aqua_xqeval.Error.Dynamic_error on dynamic errors. *)
+
+val execute_prepared_to_text :
+  ?bindings:(string * Aqua_xml.Item.sequence) list -> prepared -> string
+(** [execute_prepared] of a prepared wrapper query, as text like
+    {!execute_to_text}. *)
 
 val call_function :
   t ->

@@ -382,7 +382,8 @@ let handle_query srv fd buf hist ~sid sql =
     T.with_span "net.query"
     @@ fun () ->
     match
-      Session_pool.execute ~wait_ms:srv.cfg.borrow_wait_ms srv.pool sql
+      Session_pool.execute ~wait_ms:srv.cfg.borrow_wait_ms
+        ~fingerprint:(fp_digest, fp_shape) srv.pool sql
     with
     | rs ->
       bump srv.s_queries T.c_net_queries;

@@ -113,6 +113,8 @@ let c_col_batches = counter "xqeval.columnar.batches"
 let c_col_rows = counter "xqeval.columnar.rows"
 let c_col_pruned_columns = counter "xqeval.columnar.pruned_columns"
 let c_col_kernel_updates = counter "xqeval.columnar.kernel_updates"
+let c_text_encoder_fused = counter "xqeval.text_encoder.fused"
+let c_text_encoder_general = counter "xqeval.text_encoder.general"
 let c_pool_borrows = counter "session_pool.borrows"
 let c_pool_rejections = counter "session_pool.rejections"
 let c_pool_waits = counter "session_pool.waits"

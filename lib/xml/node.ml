@@ -16,6 +16,11 @@ let local_name name =
   | None -> name
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
 
+let step_matches step_name el_name =
+  step_name = "*"
+  || el_name = step_name
+  || local_name el_name = local_name step_name
+
 let name_of = function Element e -> Some e.name | Text _ -> None
 
 let children_elements = function

@@ -20,6 +20,11 @@ val text : string -> t
 val local_name : string -> string
 (** Strips a namespace prefix: [local_name "ns0:CUSTOMERS" = "CUSTOMERS"]. *)
 
+val step_matches : string -> string -> bool
+(** [step_matches step name]: whether a child path step [step] selects
+    an element named [name] — ["*"], the same name, or the same local
+    name. *)
+
 val name_of : t -> string option
 (** Element name, [None] for text nodes. *)
 

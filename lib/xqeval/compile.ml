@@ -493,6 +493,15 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
             let widened = List.concat_map (children_matching m) seq in
             List.fold_left (fun items p -> p rt items) widened preds)
           (cbase rt) csteps)
+  | X.Call ("fn:string-join", [ rows; X.Literal (Atomic.String "") ])
+    when cenv.vectorize && cenv.columnar && Optimize.fused_rows rows ->
+    let encode = compile_text_rows cenv rows in
+    fun rt ->
+      (* small enough for the minor heap: key lookups return a row or
+         two, and a large result grows the buffer by doubling anyway *)
+      let buf = Buffer.create 256 in
+      encode rt buf;
+      Item.of_string (Buffer.contents buf)
   | X.Call (name, args) -> (
     let cargs = List.map (compile_expr_c cenv) args in
     (* arity-specialized application: no per-call List.map closure for
@@ -1282,6 +1291,25 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
    "xqeval.batch" (via [cnote_batch]) at every batch creation,
    "xqeval.clause"/"xqeval.hashjoin" once per clause per invocation. *)
 and compile_flwor_col cenv (f : X.flwor) : comp =
+  let run =
+    col_pipeline cenv f (fun cenv_ret treturn ->
+        let cret = compile_expr_c cenv_ret treturn in
+        fun scratch results -> results := cret scratch :: !results)
+  in
+  fun rt ->
+    let results = ref [] in
+    run rt results;
+    List.concat (List.rev !results)
+
+(* The columnar pipeline of [f], parameterized by its return: [ret]
+   compiles the return expression against the pipeline's final
+   environment into a per-row consumer, which every selected row of the
+   final batch feeds with the scratch row and the invocation's
+   accumulator. *)
+and col_pipeline :
+      'a. cenv -> X.flwor -> (cenv -> X.expr -> rt -> 'a -> unit) ->
+      rt -> 'a -> unit =
+ fun cenv f ret ->
   (* Fuse kernelizable group clauses with their post-group aggregate
      reads before compiling.  The rewrite happens here — in the
      columnar lowering only — so the row and row-batch oracles keep
@@ -1861,11 +1889,11 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
   in
   let mks, cenv_ret = build cenv cenv 0 tclauses in
   let ret_gslots = gather_slots cenv_ret [ treturn ] in
-  let cret = compile_expr_c cenv_ret treturn in
+  let cret = ret cenv_ret treturn in
   let entry_copy = bound_slots cenv (live_after tclauses) in
   let xclauses = List.map cclause_view tclauses in
   let next_ref = cenv.next in
-  fun rt ->
+  fun rt acc ->
     (* clause failpoints fire once per clause per invocation, like the
        interpreter's eager pipeline fold *)
     List.iter
@@ -1902,7 +1930,6 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
       List.iter
         (fun (label, _) -> ignore (Telemetry.clause_counter label))
         mks;
-    let results = ref [] in
     let sink =
       { cpush =
           (fun b ->
@@ -1910,7 +1937,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
             for k = 0 to b.Batch.n - 1 do
               let idx = b.Batch.sel.(k) in
               gather ret_gslots scratch b idx;
-              results := cret scratch :: !results
+              cret scratch acc
             done);
         cflush = (fun () -> ());
       }
@@ -1927,8 +1954,92 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     cnote_batch 1;
     chain.cpush feed;
     chain.cflush ();
-    cbatch_release pool !acquired;
-    List.concat (List.rev !results)
+    cbatch_release pool !acquired
+
+(* The fused section-4 encoder (see [Optimize.fuse_text]): a row tree
+   of sequences, conditionals and FLWORs over [Text_row.row_fn] calls,
+   lowered to appends into one buffer.  Cells are escaped straight
+   from the column values, so no RECORD, cell string or atomized list
+   is built per row. *)
+and compile_text_rows cenv (e : X.expr) : rt -> Buffer.t -> unit =
+  match e with
+  | X.Call (f, cells) when f = Text_row.row_fn ->
+    let cells =
+      Array.of_list
+        (List.mapi
+           (fun i c -> (Text_row.separator i, compile_text_cell cenv c))
+           cells)
+    in
+    fun rt buf ->
+      Array.iter
+        (fun (sep, cell) ->
+          Buffer.add_string buf sep;
+          cell rt buf)
+        cells
+  | X.Seq es ->
+    let parts = List.map (compile_text_rows cenv) es in
+    fun rt buf -> List.iter (fun p -> p rt buf) parts
+  | X.If (c, t, e) ->
+    let cc = compile_cond cenv c in
+    let ct = compile_text_rows cenv t and ce = compile_text_rows cenv e in
+    fun rt buf -> if cc rt then ct rt buf else ce rt buf
+  | X.Flwor f -> col_pipeline cenv f compile_text_rows
+  | _ -> cfail "not a fused text row tree"
+
+and compile_text_cell cenv (cell : X.expr) : rt -> Buffer.t -> unit =
+  let content parts =
+    match List.map (compile_expr_c cenv) parts with
+    | [ p ] -> fun rt buf -> Text_row.add_escaped_content buf (p rt)
+    | ps ->
+      fun rt buf ->
+        Text_row.add_escaped_content buf (List.concat_map (fun p -> p rt) ps)
+  in
+  (* [fn:data($v/C)], the translator's column read: the matching
+     children's string values, escaped and space-joined straight into
+     the buffer; whether any matched.  A NULL guard over the same read
+     thus walks the row once. *)
+  let column_read base name =
+    let cbase = compile_expr_c cenv base in
+    let matches = compile_step_matcher name in
+    fun rt buf ->
+      let found = ref false in
+      List.iter
+        (function
+          | Item.Atomic _ -> dfail "path step applied to an atomic value"
+          | Item.Node (Node.Text _) -> ()
+          | Item.Node (Node.Element e) ->
+            List.iter
+              (function
+                | Node.Element c when matches c.Node.name ->
+                  if !found then Buffer.add_char buf ' ';
+                  found := true;
+                  Text_row.escape_into buf (Node.string_value (Node.Element c))
+                | Node.Element _ | Node.Text _ -> ())
+              e.Node.children)
+        (cbase rt);
+      !found
+  in
+  match cell with
+  | X.Call (f, [ X.Call ("fn:data", [ X.Path (base, [ { X.name; predicates = [] } ]) ]) ])
+    when f = Text_row.cell_fn ->
+    let read = column_read base name in
+    fun rt buf -> ignore (read rt buf)
+  | X.If
+      ( X.Call ("fn:empty", [ (X.Path (base, [ { X.name; predicates = [] } ]) as p) ]),
+        X.Seq [],
+        X.Call (f, [ X.Call ("fn:data", [ p' ]) ]) )
+    when f = Text_row.cell_fn && p = p' ->
+    let read = column_read base name in
+    fun rt buf ->
+      if not (read rt buf) then Buffer.add_string buf Text_row.null_marker
+  | X.Call (f, parts) when f = Text_row.cell_fn -> content parts
+  | X.If (g, X.Seq [], X.Call (f, parts)) when f = Text_row.cell_fn ->
+    let cg = compile_cond cenv g and cc = content parts in
+    fun rt buf ->
+      if cg rt then Buffer.add_string buf Text_row.null_marker else cc rt buf
+  | _ ->
+    let c = compile_expr_c cenv cell in
+    fun rt buf -> Text_row.add_cell buf (c rt)
 
 (* ------------------------------------------------------------------ *)
 

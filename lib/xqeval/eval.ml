@@ -121,11 +121,6 @@ let normalize_content (seq : Item.sequence) : Node.t list =
 (* ------------------------------------------------------------------ *)
 (* Path navigation                                                    *)
 
-let step_matches step_name el_name =
-  step_name = "*"
-  || el_name = step_name
-  || Node.local_name el_name = Node.local_name step_name
-
 let children_matching name (item : Item.t) : Item.sequence =
   match item with
   | Item.Atomic _ -> fail "path step applied to an atomic value"
@@ -133,7 +128,7 @@ let children_matching name (item : Item.t) : Item.sequence =
   | Item.Node (Node.Element e) ->
     List.filter_map
       (function
-        | Node.Element c when step_matches name c.name ->
+        | Node.Element c when Node.step_matches name c.name ->
           Some (Item.Node (Node.Element c))
         | Node.Element _ | Node.Text _ -> None)
       e.children

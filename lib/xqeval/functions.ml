@@ -445,25 +445,25 @@ let fn_bea_if_empty args =
   | [ v; dflt ] -> if v = [] then dflt else v
   | _ -> assert false
 
-let xml_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | c when Char.code c < 0x20 && c <> '\t' && c <> '\n' && c <> '\r' ->
-        Buffer.add_string buf (Printf.sprintf "&#%d;" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let fn_bea_xml_escape args =
   arity "fn-bea:xml-escape" 1 args;
   match List.hd args with
   | [] -> []
-  | seq -> Item.of_string (xml_escape (string_arg "fn-bea:xml-escape" seq))
+  | seq -> Item.of_string (Text_row.escape (string_arg "fn-bea:xml-escape" seq))
+
+(* The fused section-4 encoder's synthetic functions (see Text_row):
+   what the interpreter and the row-at-a-time engines run. *)
+let fn_text_cell args =
+  Item.of_string (Text_row.content_string (List.concat args))
+
+let fn_text_row args =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i cell ->
+      Buffer.add_string buf (Text_row.separator i);
+      Text_row.add_cell buf cell)
+    args;
+  Item.of_string (Buffer.contents buf)
 
 let fn_bea_serialize_atomic args =
   arity "fn-bea:serialize-atomic" 1 args;
@@ -529,6 +529,8 @@ let () =
   register "fn-bea:xml-escape" fn_bea_xml_escape;
   register "fn-bea:serialize-atomic" fn_bea_serialize_atomic;
   register "fn-bea:position" fn_position_of;
+  register Text_row.cell_fn fn_text_cell;
+  register Text_row.row_fn fn_text_row;
   register "fn-bea:trim" (trim_with "fn-bea:trim" `Both);
   register "fn-bea:trim-left" (trim_with "fn-bea:trim-left" `Leading);
   register "fn-bea:trim-right" (trim_with "fn-bea:trim-right" `Trailing);

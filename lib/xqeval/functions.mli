@@ -25,8 +25,3 @@ val like_match : ?escape:char -> pattern:string -> string -> bool
     engine behind [fn-bea:like], shared with the baseline SQL engine.
     @raise Error.Dynamic_error on a malformed pattern. *)
 
-val xml_escape : string -> string
-(** The [fn-bea:xml-escape] algorithm: escapes [&], [<], [>] and
-    C0 control characters as numeric character references, so that the
-    escaped text can never contain the driver's row/column delimiter
-    characters. Exposed for the driver's decoder tests. *)

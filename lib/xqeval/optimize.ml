@@ -25,17 +25,27 @@
    is safe to run on queries with unresolved external functions. *)
 
 module X = Aqua_xquery.Ast
+module Atomic = Aqua_xml.Atomic
+module Node = Aqua_xml.Node
 module Vars = Set.Make (String)
+
+type text_encoder = Fused | General of string
 
 type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  encode : text_encoder option;  (** [None]: not a text-transport wrapper *)
   notes : string list;      (** human-readable one-liners, newest first *)
 }
 
 let empty_report =
-  { pushed_predicates = 0; hash_joins = 0; shared_scans = 0; notes = [] }
+  { pushed_predicates = 0; hash_joins = 0; shared_scans = 0; encode = None;
+    notes = [] }
+
+let encode_label = function
+  | Fused -> "fused"
+  | General why -> Printf.sprintf "general (%s)" why
 
 type acc = {
   mutable pushed : int;
@@ -655,6 +665,178 @@ let share_scans_pass acc (e : X.expr) : X.expr =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Section-4 text encoder fusion                                      *)
+
+(* The text transport wraps a translated query as
+
+     fn:string-join(
+       let $a := <RECORDSET>{ ROWS }</RECORDSET>
+       for $t in $a/RECORD
+       return (">", ENC($t, C1), "<", ENC($t, C2), ...), "")
+
+   with ENC($t, C) = fn-bea:if-empty(fn-bea:xml-escape(
+   fn-bea:serialize-atomic(fn:data($t/C))), NUL).  Run as written,
+   every row is built as a RECORD element, found again by the child
+   step and taken apart cell by cell through four calls.  When ROWS is
+   a tree of sequences, conditionals and FLWORs whose leaves are
+   RECORD constructors holding exactly the columns, in order, each
+   constructor can encode its own row instead: [fuse_text] replaces it
+   with a [Text_row.row_fn] call over the cells, and the wrapper FLWOR
+   disappears.  A column element [<C>{e}</C>] keeps element content
+   semantics through [Text_row.cell_fn] (empty content encodes as "",
+   several items join with a space); a NULL-guarded one,
+   [if (g) then () else <C>{e}</C>], encodes NULL when [g] holds.  An
+   ORDER BY over such rows moves into the FLWOR producing them.  Any
+   other shape keeps the wrapper, and the report says why. *)
+
+exception Not_fusable of string
+
+let record_step = { X.name = "RECORD"; predicates = [] }
+
+(* The wrapper's cell encoder over [$token]: the column step it reads. *)
+let encoder_column token = function
+  | X.Call
+      ( "fn-bea:if-empty",
+        [ X.Call
+            ( "fn-bea:xml-escape",
+              [ X.Call
+                  ( "fn-bea:serialize-atomic",
+                    [ X.Call
+                        ( "fn:data",
+                          [ X.Path (X.Var t, [ { X.name; predicates = [] } ]) ]
+                        ) ] ) ] );
+          X.Literal (Atomic.String null) ] )
+    when t = token && null = Text_row.null_marker ->
+    Some name
+  | _ -> None
+
+(* The wrapper's return: separator literals alternating with cell
+   encoders; the column steps in order. *)
+let rec encoder_columns token i = function
+  | [] -> Some []
+  | X.Literal (Atomic.String sep) :: enc :: rest when sep = Text_row.separator i
+    -> (
+    match (encoder_column token enc, encoder_columns token (i + 1) rest) with
+    | Some c, Some cs -> Some (c :: cs)
+    | _ -> None)
+  | _ -> None
+
+let fuse_rows columns rows =
+  let field = function
+    | X.Elem { name; content } as e -> (name, e, None, content)
+    | X.If (g, X.Seq [], X.Elem { name; content }) as e ->
+      (name, e, Some g, content)
+    | _ -> raise (Not_fusable "RECORD content other than column elements")
+  in
+  let reads col (name, _, _, _) = Node.step_matches col name in
+  let unique col fields =
+    match List.filter (reads col) fields with
+    | [ f ] -> f
+    | [] -> raise (Not_fusable ("missing column element " ^ col))
+    | _ -> raise (Not_fusable ("duplicated column element " ^ col))
+  in
+  let cell col (_, _, guard, content) =
+    if
+      List.exists
+        (function X.Text _ | X.Elem _ | X.Path _ -> true | _ -> false)
+        content
+    then raise (Not_fusable ("node content in column " ^ col));
+    let c = X.Call (Text_row.cell_fn, content) in
+    match guard with None -> c | Some g -> X.If (g, X.Seq [], c)
+  in
+  let record fields =
+    List.iter (fun col -> ignore (unique col fields)) columns;
+    if
+      List.length fields <> List.length columns
+      || not (List.for_all2 reads columns fields)
+    then raise (Not_fusable "column elements unread or out of order");
+    X.Call (Text_row.row_fn, List.map2 cell columns fields)
+  in
+  (* An ORDER BY over materialized rows,
+
+       let $s := <RECORDSET>{ for .. return <RECORD>F</RECORD> }</RECORDSET>
+       for $r in $s/RECORD order by K($r/C) .. return $r,
+
+     sorts the inner FLWOR's tuples by the same keys read from the
+     column elements: the ordering moves into that FLWOR, each key
+     reading its column element's constructor instead of [$r/C]. *)
+  let ordered r specs (inner : X.flwor) =
+    let fields =
+      match inner.X.return with
+      | X.Elem { name = "RECORD"; content } -> List.map field content
+      | _ ->
+        raise (Not_fusable "ORDER BY over rows other than RECORD constructors")
+    in
+    let rec key = function
+      | X.Path (X.Var v, [ { X.name; predicates = [] } ]) when v = r ->
+        let _, elem, _, _ = unique name fields in
+        elem
+      | X.Call (f, [ a ]) -> X.Call (f, [ key a ])
+      | _ -> raise (Not_fusable "ORDER BY key other than a column read")
+    in
+    let specs =
+      List.map (fun (s : X.order_spec) -> { s with X.key = key s.X.key }) specs
+    in
+    X.Flwor
+      { clauses = inner.X.clauses @ [ X.Order_by specs ];
+        return = record fields }
+  in
+  let rec go = function
+    | X.Elem { name = "RECORD"; content } -> record (List.map field content)
+    | X.Flwor
+        { clauses =
+            [ X.Let
+                { var = s;
+                  value =
+                    X.Elem { name = "RECORDSET"; content = [ X.Flwor inner ] }
+                };
+              X.For { var = r; source = X.Path (X.Var s', [ step ]) };
+              X.Order_by specs ];
+          return = X.Var r' }
+      when s = s' && r = r' && step = record_step ->
+      ordered r specs inner
+    | X.Seq es -> X.Seq (List.map go es)
+    | X.If (c, t, e) -> X.If (c, go t, go e)
+    | X.Flwor f -> X.Flwor { f with X.return = go f.X.return }
+    | _ -> raise (Not_fusable "rows other than RECORD constructors")
+  in
+  go rows
+
+(* A pattern match at the top of the plan: [None] when [e] is not the
+   text-transport wrapper. *)
+let fuse_text (e : X.expr) : X.expr * text_encoder option =
+  match e with
+  | X.Call
+      ( "fn:string-join",
+        [ X.Flwor
+            { clauses =
+                [ X.Let { var = actual; value };
+                  X.For { var = token; source = X.Path (X.Var a, [ step ]) } ];
+              return = X.Seq parts };
+          (X.Literal (Atomic.String "") as sep) ] )
+    when a = actual && step = record_step -> (
+    match encoder_columns token 0 parts with
+    | None -> (e, None)
+    | Some columns -> (
+      match value with
+      | X.Elem { name = "RECORDSET"; content = [ rows ] } -> (
+        match fuse_rows columns rows with
+        | rows -> (X.Call ("fn:string-join", [ rows; sep ]), Some Fused)
+        | exception Not_fusable why -> (e, Some (General why)))
+      | _ -> (e, Some (General "result other than one RECORDSET constructor"))))
+  | _ -> (e, None)
+
+(* A fused row tree: sequences, conditionals and FLWORs over
+   [Text_row.row_fn] calls — what [Compile] lowers to one encoder. *)
+let rec fused_rows (e : X.expr) =
+  match e with
+  | X.Call (f, _) -> f = Text_row.row_fn
+  | X.Seq es -> List.for_all fused_rows es
+  | X.If (_, t, e) -> fused_rows t && fused_rows e
+  | X.Flwor f -> fused_rows f.X.return
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
 (* Columnar pipeline shape (EXPLAIN-style notes)                      *)
 
 (* Mirrors, in name-set form, the decisions the columnar compiler
@@ -763,7 +945,13 @@ let columnar_shape (e : X.expr) : string list =
   List.rev !out
 
 let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
+  let module T = Aqua_core.Telemetry in
   let acc = { pushed = 0; joins = 0; shared = 0; notes = [] } in
+  let e, encode = fuse_text e in
+  (match encode with
+  | Some Fused -> T.incr T.c_text_encoder_fused
+  | Some (General _) -> T.incr T.c_text_encoder_general
+  | None -> ());
   let e = rewrite acc e in
   let e = if share_scans then share_scans_pass acc e else e in
   if vectorize then
@@ -780,7 +968,6 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
       :: acc.notes;
     List.iter (fun n -> acc.notes <- n :: acc.notes) (columnar_shape e)
   end;
-  let module T = Aqua_core.Telemetry in
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
   T.add T.c_shared_scan_rewrites acc.shared;
@@ -789,6 +976,7 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
       pushed_predicates = acc.pushed;
       hash_joins = acc.joins;
       shared_scans = acc.shared;
+      encode;
       notes = List.rev acc.notes;
     } )
 

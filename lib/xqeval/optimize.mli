@@ -15,16 +15,35 @@
     so the service is invoked once per plan instead of once per
     occurrence.
 
+    A first pattern match at the top of the plan fuses the section-4
+    text wrapper into the rows it encodes (see {!text_encoder});
+    [xqeval.text_encoder.fused] or [xqeval.text_encoder.general]
+    counts each wrapped plan.
+
     The pass is purely structural and never evaluates expressions. *)
 
 module Vars : Set.S with type elt = string
+
+(** How a text-transport wrapper (paper section 4) encodes its rows. *)
+type text_encoder =
+  | Fused
+      (** every RECORD constructor was replaced by a {!Text_row.row_fn}
+          call: no RECORD is built, and the wrapper FLWOR is gone *)
+  | General of string
+      (** the wrapper runs as written; the reason names the shape the
+          fusion does not cover *)
 
 type report = {
   pushed_predicates : int;  (** conjuncts moved earlier in a pipeline *)
   hash_joins : int;         (** [For]+[Where] pairs fused into [Hash_join] *)
   shared_scans : int;       (** repeated scans hoisted into a shared [let] *)
+  encode : text_encoder option;
+      (** [None] when the plan is not a text-transport wrapper *)
   notes : string list;      (** human-readable one-liners *)
 }
+
+val encode_label : text_encoder -> string
+(** ["fused"] or ["general (<reason>)"], for analyze output. *)
 
 val empty_report : report
 
@@ -53,6 +72,11 @@ val query :
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report
 (** Optimize a query body (prolog is untouched). *)
+
+val fused_rows : Aqua_xquery.Ast.expr -> bool
+(** Whether an expression is a fused row tree: sequences, conditionals
+    and FLWOR returns over {!Text_row.row_fn} calls.  {!Compile} lowers
+    [fn:string-join] of such a tree to one text encoder. *)
 
 (** {1 Columnar-engine analyses}
 

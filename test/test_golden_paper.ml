@@ -50,6 +50,21 @@ let paper_app () =
 
 let check = Helpers.assert_contains
 
+(* Every statement the examples below translate. *)
+let statements =
+  [ "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERNAME = 'Sue'";
+    "SELECT * FROM CUSTOMERS";
+    "SELECT CUSTOMERID ID FROM CUSTOMERS";
+    "SELECT INFO.ID, INFO.NAME FROM (SELECT CUSTOMERID ID, CUSTOMERNAME NAME \
+     FROM CUSTOMERS) AS INFO WHERE INFO.ID > 10 ORDER BY INFO.ID DESC";
+    "SELECT CUSTOMERS.CUSTOMERID, PAYMENTS.PAYMENT FROM CUSTOMERS LEFT OUTER \
+     JOIN PAYMENTS ON CUSTOMERS.CUSTOMERID = PAYMENTS.CUSTID ORDER BY 1, 2";
+    "SELECT CUSTOMERS.CUSTOMERNAME, COUNT(PO_CUSTOMERS.ORDERID) N FROM \
+     CUSTOMERS, PO_CUSTOMERS WHERE CUSTOMERS.CUSTOMERID = \
+     PO_CUSTOMERS.CUSTOMERID GROUP BY CUSTOMERS.CUSTOMERID, \
+     CUSTOMERS.CUSTOMERNAME ORDER BY N DESC";
+    "SELECT CUSTOMERID, CUSTOMERNAME FROM CUSTOMERS" ]
+
 (* Example 3: a typical XQuery over the CUSTOMERS() function. *)
 let example_3_where_eq () =
   let app = paper_app () in

@@ -16,6 +16,7 @@ module Telemetry = Aqua_core.Telemetry
 module Json = Aqua_core.Json
 module Stats = Aqua_obs.Stats
 module Expose = Aqua_obs.Expose
+module Fingerprint = Aqua_obs.Fingerprint
 
 (* ------------------------------------------------------------------ *)
 (* Codec *)
@@ -511,6 +512,49 @@ let stat_tables_over_wire () =
     Client.close c
   end
 
+(* The server fingerprints a statement once and hands the digest to
+   the driver's statement record: per-fingerprint calls still sum to
+   the completed statements, filed under the digests the fingerprint
+   module computes for the (traceparent-stripped) text. *)
+let fingerprint_once_per_statement () =
+  if not Mcore.multicore then ()
+  else begin
+    Stats.reset ();
+    Stats.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        Stats.set_enabled false;
+        Stats.reset ())
+    @@ fun () ->
+    with_server @@ fun t ->
+    let c = connect_ok t in
+    let plain = "SELECT CUSTOMERID FROM CUSTOMERS" in
+    let lookup = "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = 2" in
+    expect_rows c plain 6;
+    expect_rows c lookup 1;
+    expect_rows c ("/*traceparent:fp-once*/ " ^ plain) 6;
+    let calls =
+      List.fold_left (fun n (e : Stats.entry) -> n + e.Stats.calls) 0
+        (Stats.entries ())
+    in
+    Alcotest.(check int) "calls = completed statements"
+      (Netserver.summary t).Netserver.queries calls;
+    let digests = List.map (fun sql -> fst (Fingerprint.fingerprint sql)) [ plain; lookup ] in
+    (match Client.query c "SELECT * FROM aqua_stat_statements" with
+    | Ok r ->
+      Alcotest.(check (list string)) "aqua_stat_statements digests"
+        (List.sort compare digests)
+        (List.sort compare
+           (List.filter_map (fun row -> List.nth row 0) r.Client.rows))
+    | Error (code, msg) ->
+      Alcotest.failf "aqua_stat_statements failed: %s %s" code msg);
+    Alcotest.(check (option int)) "traceparent text shares the digest" (Some 2)
+      (Option.map
+         (fun (e : Stats.entry) -> e.Stats.calls)
+         (Stats.find (List.hd digests)));
+    Client.close c
+  end
+
 (* ------------------------------------------------------------------ *)
 (* HTTP admin plane *)
 
@@ -619,4 +663,6 @@ let suite =
         trace_sampling_zero_is_silent;
       Helpers.case "aqua_stat_* virtual tables answer over the wire"
         stat_tables_over_wire;
-      Helpers.case "admin plane: /metrics, /healthz, /statusz" admin_plane ] )
+      Helpers.case "admin plane: /metrics, /healthz, /statusz" admin_plane;
+      Helpers.case "one fingerprint per statement, digests unchanged"
+        fingerprint_once_per_statement ] )
