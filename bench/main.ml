@@ -1686,15 +1686,17 @@ let p14 () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* P15: columnar batch layout vs the row-snapshot batch engine.        *)
+(* P15: the compiled columnar engine vs the interpreter oracle.        *)
 
 let p15_json_path = "BENCH_P15.json"
 
-(* Interleaved A/B medians (same discipline as P12): the effects under
-   measurement — kernelized GROUP BY, required-column pruning — are
-   tens of percent, but two bechamel estimates taken far apart still
-   drift by more.  Each iteration times one batched and one columnar
-   execution back to back; each configuration reports its median.
+(* Interleaved A/B medians (same discipline as P12): two bechamel
+   estimates taken far apart drift by more than the effects under
+   measurement.  Each iteration times one interpreter and one columnar
+   execution back to back; each configuration reports its median.  The
+   baseline is the tree-walking interpreter ([Server.create
+   ~vectorize:false]), the oracle the compiled engine is tested
+   against.
 
    Workload kinds: "aggregation" is the kernelized GROUP BY story —
    validate.exe hard-rejects a columnar slowdown and --min-speedup
@@ -1704,7 +1706,7 @@ let p15_json_path = "BENCH_P15.json"
    many bound variables, few live columns — and is informational. *)
 let p15 () =
   print_endline
-    "\n== P15: columnar batch layout vs row-snapshot batches ==";
+    "\n== P15: compiled columnar engine vs the interpreter ==";
   let scales =
     [ ("small", sizes 100 1600 2 1600); ("medium", sizes 200 3200 2 3200);
       ("large", sizes 300 5000 2 5000) ]
@@ -1753,32 +1755,33 @@ let p15 () =
                  materialized scan cache, so the A/B times FLWOR
                  execution, not scan materialization *)
               let scans = Aqua_dsp.Scan_cache.create app in
-              let srv_batched =
-                Server.create ~columnar:false ~cache:scans app
+              let srv_interp =
+                Server.create ~vectorize:false ~cache:scans app
               in
               let srv_col = Server.create ~cache:scans app in
               let rows =
-                result_rows (Server.execute srv_batched t.Translator.xquery)
+                result_rows (Server.execute srv_interp t.Translator.xquery)
               in
-              (label, s, t, srv_batched, srv_col, rows))
+              (label, s, t, srv_interp, srv_col, rows))
             scales
         in
         (wname, kind, sql, per_scale))
       workloads
   in
   (* sanity before timing: the columnar engine must serialize
-     byte-identically to the row-snapshot batch engine *)
+     byte-identically to the interpreter *)
   List.iter
     (fun (wname, _, _, per_scale) ->
       List.iter
-        (fun (label, _, t, srv_batched, srv_col, _) ->
+        (fun (label, _, t, srv_interp, srv_col, _) ->
           let ser items = Aqua_xml.Serialize.sequence_to_string items in
-          let oracle = ser (Server.execute srv_batched t.Translator.xquery) in
+          let oracle = ser (Server.execute srv_interp t.Translator.xquery) in
           let got = ser (Server.execute srv_col t.Translator.xquery) in
           if got <> oracle then
             failwith
               (Printf.sprintf
-                 "P15 %s/%s: columnar disagrees with batched (BENCH_SEED=%d)"
+                 "P15 %s/%s: columnar disagrees with the interpreter \
+                  (BENCH_SEED=%d)"
                  wname label seed))
         per_scale)
     cases;
@@ -1788,29 +1791,30 @@ let p15 () =
       (fun (wname, kind, sql, per_scale) ->
         let per_scale =
           List.map
-            (fun (label, s, t, srv_batched, srv_col, rows) ->
+            (fun (label, s, t, srv_interp, srv_col, rows) ->
               (* the interleaved A/B loop itself: each iteration times
-                 one batched and one columnar execution back to back *)
+                 one interpreter and one columnar execution back to
+                 back *)
               let time srv =
                 let t0 = Mclock.now () in
                 ignore (Server.execute srv t.Translator.xquery);
                 Int64.to_float (Int64.sub (Mclock.now ()) t0)
               in
               for _ = 1 to 5 do
-                ignore (time srv_batched);
+                ignore (time srv_interp);
                 ignore (time srv_col)
               done;
-              let batched_samples = ref [] and col_samples = ref [] in
+              let interp_samples = ref [] and col_samples = ref [] in
               for _ = 1 to iters do
-                batched_samples := time srv_batched :: !batched_samples;
+                interp_samples := time srv_interp :: !interp_samples;
                 col_samples := time srv_col :: !col_samples
               done;
               let median l =
                 List.nth (List.sort compare l) (List.length l / 2)
               in
-              let batched_ns = median !batched_samples in
+              let interp_ns = median !interp_samples in
               let col_ns = median !col_samples in
-              (label, s, rows, batched_ns, col_ns, ratio batched_ns col_ns))
+              (label, s, rows, interp_ns, col_ns, ratio interp_ns col_ns))
             per_scale
         in
         (wname, kind, sql, per_scale))
@@ -1821,21 +1825,21 @@ let p15 () =
       print_table
         (Printf.sprintf "P15 %s (%s) at batch size 1024" wname kind)
         (List.concat_map
-           (fun (label, (s : Datagen.sizes), _, batched_ns, col_ns, _) ->
+           (fun (label, (s : Datagen.sizes), _, interp_ns, col_ns, _) ->
              let tag =
                Printf.sprintf "%-6s (%dx%d)" label s.Datagen.customers
                  s.Datagen.orders
              in
-             [ (Printf.sprintf "batched  %s" tag, batched_ns);
-               (Printf.sprintf "columnar %s" tag, col_ns) ])
+             [ (Printf.sprintf "interpreter %s" tag, interp_ns);
+               (Printf.sprintf "columnar    %s" tag, col_ns) ])
            per_scale);
       List.iter
-        (fun (label, _, rows, batched_ns, col_ns, speedup) ->
+        (fun (label, _, rows, interp_ns, col_ns, speedup) ->
           Printf.printf
-            "  %-10s %-6s: %d rows, batched %.1f ns/row, columnar %.1f \
+            "  %-10s %-6s: %d rows, interpreter %.1f ns/row, columnar %.1f \
              ns/row, speedup %.2fx\n"
             wname label rows
-            (batched_ns /. float_of_int (max 1 rows))
+            (interp_ns /. float_of_int (max 1 rows))
             (col_ns /. float_of_int (max 1 rows))
             speedup)
         per_scale)
@@ -1859,7 +1863,7 @@ let p15 () =
   let jr f = if Float.is_nan f then "null" else Printf.sprintf "%.2f" f in
   let oc = open_out p15_json_path in
   Printf.fprintf oc
-    "{\n  \"experiment\": \"P15 columnar batch layout\",\n  \"units\": \"ns \
+    "{\n  \"experiment\": \"P15 compiled columnar engine vs interpreter\",\n  \"units\": \"ns \
      per query execution at batch size 1024; ns_per_row divides by output \
      rows\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"batch_size\": 1024,\n  \
      \"workloads\": [\n"
@@ -1875,16 +1879,16 @@ let p15 () =
       let n_scales = List.length per_scale in
       List.iteri
         (fun i
-             (label, (s : Datagen.sizes), rows, batched_ns, col_ns, speedup) ->
+             (label, (s : Datagen.sizes), rows, interp_ns, col_ns, speedup) ->
           let per_row ns = ns /. float_of_int (max 1 rows) in
           Printf.fprintf oc
             "        { \"label\": %S, \"customers\": %d, \"orders\": %d, \
-             \"rows\": %d,\n          \"batched_ns\": %s, \
-             \"batched_ns_per_row\": %s,\n          \"columnar_ns\": %s, \
+             \"rows\": %d,\n          \"interpreter_ns\": %s, \
+             \"interpreter_ns_per_row\": %s,\n          \"columnar_ns\": %s, \
              \"columnar_ns_per_row\": %s,\n          \"speedup_at_1024\": \
              %s }%s\n"
-            label s.Datagen.customers s.Datagen.orders rows (jf batched_ns)
-            (jr (per_row batched_ns))
+            label s.Datagen.customers s.Datagen.orders rows (jf interp_ns)
+            (jr (per_row interp_ns))
             (jf col_ns)
             (jr (per_row col_ns))
             (jr speedup)

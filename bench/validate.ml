@@ -439,11 +439,11 @@ let validate_p12 ?min_speedup path json =
   | Some _ -> problem "%s: \"telemetry\" is not an object" path
   | None -> problem "%s: missing field \"telemetry\"" path
 
-(* P15: columnar batch layout vs the row-snapshot batch engine —
+(* P15: the compiled columnar engine vs the interpreter oracle —
    interleaved A/B medians of the same query at batch size 1024.  The
    hard gate: on every aggregation-shaped workload ("aggregation" and
    "join-aggregation" kinds) the columnar engine must never be slower
-   than the batched engine — speedup_at_1024 below parity is a silent
+   than the interpreter — speedup_at_1024 below parity is a silent
    regression of the kernelized GROUP BY path; --min-speedup S
    additionally requires every scale of the pure "aggregation" kind
    (where the kernels, not join probe cost, dominate) to clear S.
@@ -488,8 +488,8 @@ let validate_p15 ?min_speedup path json =
                       ("customers", is_int, "an integer");
                       ("orders", is_int, "an integer");
                       ("rows", is_int, "an integer");
-                      ("batched_ns", is_number_or_null, "a number or null");
-                      ( "batched_ns_per_row", is_number_or_null,
+                      ("interpreter_ns", is_number_or_null, "a number or null");
+                      ( "interpreter_ns_per_row", is_number_or_null,
                         "a number or null" );
                       ("columnar_ns", is_number_or_null, "a number or null");
                       ( "columnar_ns_per_row", is_number_or_null,
@@ -501,8 +501,8 @@ let validate_p15 ?min_speedup path json =
                     | Some (Json.Num s) -> (
                       if s < 1.0 then
                         problem
-                          "%s: columnar is slower than batched on an \
-                           aggregation shape (speedup_at_1024 %.3f)"
+                          "%s: columnar is slower than the interpreter on \
+                           an aggregation shape (speedup_at_1024 %.3f)"
                           spath s;
                       match min_speedup with
                       | Some floor when kind = "aggregation" && s < floor ->

@@ -72,24 +72,15 @@ let no_vectorize_flag =
     value & flag
     & info [ "no-vectorize" ]
         ~doc:
-          "Disable the batched FLWOR engine; execute optimized plans \
-           with the row-at-a-time pipeline (the differential oracle).")
-
-let no_columnar_flag =
-  Arg.(
-    value & flag
-    & info [ "no-columnar" ]
-        ~doc:
-          "Disable the columnar (struct-of-arrays) batch layout; execute \
-           batched plans over row-snapshot batches (the columnar engine's \
-           differential oracle).")
+          "Disable the compiled columnar engine; execute optimized plans \
+           on the tree-walking interpreter (the differential oracle).")
 
 let batch_size_opt =
   Arg.(
     value & opt (some int) None
     & info [ "batch-size" ] ~docv:"N"
         ~doc:
-          "Rows per batch for the vectorized engine (default 1024; also \
+          "Rows per batch for the compiled engine (default 1024; also \
            settable via \\$(b,AQUA_BATCH_SIZE)).")
 
 let apply_batch_size batch_size =
@@ -171,7 +162,7 @@ let tick_items_as_rows items =
 
 (* Execute with graceful degradation, mirroring the driver: a crash
    inside the optimized evaluator gets one more attempt with both
-   suspects off — optimizer and batch engine — counted as a
+   suspects off — optimizer and compiled engine — counted as a
    fallback. *)
 let execute_degrading ~no_optimize app server xquery ~span =
   let execute srv =
@@ -186,7 +177,7 @@ let execute_degrading ~no_optimize app server xquery ~span =
     (* the fallback server shares the crashed server's scan cache, so
        scans the optimized run already materialized are not re-fetched *)
     execute
-      (Server.create ~optimize:false ~vectorize:false ~columnar:false
+      (Server.create ~optimize:false ~vectorize:false
          ~cache:(Server.scan_cache server) app)
 
 let start_trace () =
@@ -201,8 +192,8 @@ let finish_trace () =
     ^ "}")
 
 let run_cmd =
-  let run sql naive no_optimize no_scan_cache no_vectorize no_columnar
-      batch_size trace timeout max_rows failpoints =
+  let run sql naive no_optimize no_scan_cache no_vectorize batch_size trace
+      timeout max_rows failpoints =
     with_env (fun app env ->
         apply_batch_size batch_size;
         if trace then start_trace ();
@@ -219,7 +210,7 @@ let run_cmd =
             in
             let server =
               Server.create ~optimize:(not no_optimize)
-                ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
+                ~vectorize:(not no_vectorize)
                 ~scan_cache:(not no_scan_cache) app
             in
             let items =
@@ -234,13 +225,13 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Translate and execute; print the XML result")
     Term.(
       const run $ sql_arg $ naive_flag $ no_optimize_flag $ no_scan_cache_flag
-      $ no_vectorize_flag $ no_columnar_flag $ batch_size_opt $ trace_flag
-      $ timeout_opt $ max_rows_opt $ failpoints_opt)
+      $ no_vectorize_flag $ batch_size_opt $ trace_flag $ timeout_opt
+      $ max_rows_opt $ failpoints_opt)
 
 let analyze_cmd =
   let ms ns = Int64.to_float ns /. 1e6 in
-  let run sql naive no_optimize no_scan_cache no_vectorize no_columnar
-      batch_size trace timeout max_rows failpoints =
+  let run sql naive no_optimize no_scan_cache no_vectorize batch_size trace
+      timeout max_rows failpoints =
     with_env (fun app env ->
         apply_batch_size batch_size;
         Telemetry.set_enabled true;
@@ -261,7 +252,7 @@ let analyze_cmd =
         let t = Translator.translate ~style:(style_of_naive naive) env sql in
         let server =
           Server.create ~optimize:(not no_optimize)
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
+            ~vectorize:(not no_vectorize)
             ~scan_cache:(not no_scan_cache) app
         in
         let items =
@@ -284,14 +275,26 @@ let analyze_cmd =
            its notes does not skew the snapshot *)
         let _, report =
           Aqua_xqeval.Optimize.query ~share_scans:(not no_scan_cache)
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
             t.Translator.xquery
+        in
+        (* which engine answered: the flags choose the interpreter, and
+           otherwise only a plan the compiler rejects falls back to it
+           (counted as xqeval.interpret_fallbacks) *)
+        let engine =
+          if no_optimize then "interpreted (--no-optimize)"
+          else if no_vectorize then "interpreted (--no-vectorize)"
+          else
+            match Server.prepare server t.Translator.xquery with
+            | _ -> "compiled"
+            | exception Aqua_xqeval.Compile.Compile_error m ->
+              Printf.sprintf "interpreted (%s)" m
         in
         Printf.printf "EXPLAIN ANALYZE  %s\n" sql;
         Printf.printf "translation (three stages):\n";
         Printf.printf "  stage 1 parse      %8.3f ms\n" (ms snap.Telemetry.parse_ns);
         Printf.printf "  stage 2 semantic   %8.3f ms\n" (ms snap.Telemetry.semantic_ns);
         Printf.printf "  stage 3 generate   %8.3f ms\n" (ms snap.Telemetry.generate_ns);
+        Printf.printf "engine: %s\n" engine;
         if no_optimize then Printf.printf "optimizer: disabled (--no-optimize)\n"
         else begin
           Printf.printf
@@ -300,9 +303,11 @@ let analyze_cmd =
             report.Aqua_xqeval.Optimize.pushed_predicates
             report.Aqua_xqeval.Optimize.hash_joins
             report.Aqua_xqeval.Optimize.shared_scans;
-          List.iter
-            (fun note -> Printf.printf "  note: %s\n" note)
-            report.Aqua_xqeval.Optimize.notes
+          (* the notes describe how the compiled engine runs the plan *)
+          if not no_vectorize then
+            List.iter
+              (fun note -> Printf.printf "  note: %s\n" note)
+              report.Aqua_xqeval.Optimize.notes
         end;
         (* how the driver's text transport encodes this query's rows *)
         Printf.printf "encode: %s\n"
@@ -363,19 +368,13 @@ let analyze_cmd =
                  None clause_rows)
           end
         end;
-        if not (no_optimize || no_vectorize) then begin
-          if no_columnar then
-            Printf.printf "columnar layout: disabled (--no-columnar)\n"
-          else begin
-            let cb = snap.Telemetry.columnar_batches in
-            let cr = snap.Telemetry.columnar_rows in
-            Printf.printf
-              "columnar layout: %d batch(es), %d row(s); %d column \
-               copies pruned, %d kernel update(s)\n"
-              cb cr snap.Telemetry.columnar_pruned_columns
-              snap.Telemetry.columnar_kernel_updates
-          end
-        end;
+        if not (no_optimize || no_vectorize) then
+          Printf.printf
+            "columnar layout: %d batch(es), %d row(s); %d column copies \
+             pruned, %d kernel update(s)\n"
+            snap.Telemetry.columnar_batches snap.Telemetry.columnar_rows
+            snap.Telemetry.columnar_pruned_columns
+            snap.Telemetry.columnar_kernel_updates;
         Printf.printf "engine counters:\n";
         Printf.printf "  rows emitted (all clauses)   %8d\n" snap.Telemetry.rows_emitted;
         Printf.printf
@@ -455,8 +454,8 @@ let analyze_cmd =
           (retries, breaker state changes, governor trips).")
     Term.(
       const run $ sql_arg $ naive_flag $ no_optimize_flag $ no_scan_cache_flag
-      $ no_vectorize_flag $ no_columnar_flag $ batch_size_opt $ trace_flag
-      $ timeout_opt $ max_rows_opt $ failpoints_opt)
+      $ no_vectorize_flag $ batch_size_opt $ trace_flag $ timeout_opt
+      $ max_rows_opt $ failpoints_opt)
 
 (* sql2xq stats: replay a workload through the driver (the real
    Connection path: translation cache, budgets, fallback, transports)
@@ -572,7 +571,7 @@ let stats_cmd =
     | None -> ()
   in
   let run queries count repeat seed top by format no_scan_cache no_vectorize
-      no_columnar batch_size trace timeout max_rows failpoints =
+      batch_size trace timeout max_rows failpoints =
     with_env (fun app _env ->
         apply_batch_size batch_size;
         Telemetry.set_enabled true;
@@ -604,7 +603,7 @@ let stats_cmd =
         end;
         let conn =
           Aqua_driver.Connection.connect ~limits
-            ~vectorize:(not no_vectorize) ~columnar:(not no_columnar)
+            ~vectorize:(not no_vectorize)
             ~scan_cache:(not no_scan_cache) app
         in
         let executed = ref 0 and failures = ref 0 in
@@ -634,8 +633,8 @@ let stats_cmd =
     Term.(
       const run $ queries_opt $ count_opt $ repeat_opt $ seed_opt $ top_opt
       $ by_opt $ format_opt $ no_scan_cache_flag $ no_vectorize_flag
-      $ no_columnar_flag $ batch_size_opt $ trace_flag $ timeout_opt
-      $ max_rows_opt $ failpoints_opt)
+      $ batch_size_opt $ trace_flag $ timeout_opt $ max_rows_opt
+      $ failpoints_opt)
 
 let text_cmd =
   let run sql naive no_optimize =

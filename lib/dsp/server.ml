@@ -14,14 +14,12 @@ type t = {
   app : Artifact.application;
   optimize : bool;
   vectorize : bool;
-  columnar : bool;
   retry : Retry.policy;
   breakers : Breaker.registry;
   scan_cache : Scan_cache.t;
 }
 
 let create ?(optimize = true) ?(vectorize = true)
-    ?(columnar = Aqua_xqeval.Batch.columnar ())
     ?(retry = Retry.default_policy) ?(breaker = Breaker.default_config)
     ?(scan_cache = true) ?cache app =
   let cache =
@@ -33,7 +31,6 @@ let create ?(optimize = true) ?(vectorize = true)
     app;
     optimize;
     vectorize;
-    columnar;
     retry;
     breakers = Breaker.registry ~config:breaker ();
     scan_cache = cache;
@@ -110,7 +107,6 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
         |> fst
       in
       Eval.eval ~optimize:t.optimize ~vectorize:t.vectorize
-        ~columnar:t.columnar
         ~scan_cache:(Scan_cache.enabled t.scan_cache)
         ctx body
   in
@@ -141,15 +137,14 @@ and invoke t (ds : Artifact.data_service) (f : Artifact.ds_function) chain :
       match f.Artifact.body with
       | Artifact.Physical _ -> label
       | Artifact.Logical _ ->
-        (* evaluator flavor in full: optimizer on/off, batch engine
-           on/off AND batch layout — a ~vectorize:false (or
-           ~columnar:false) oracle server sharing the cache must not
-           inherit rows another engine produced, or a differential run
-           would compare an engine against its own cached output *)
+        (* evaluator flavor in full: optimizer on/off and compiled
+           engine on/off — a ~vectorize:false (interpreter) oracle
+           server sharing the cache must not inherit rows the compiled
+           engine produced, or a differential run would compare an
+           engine against its own cached output *)
         label
         ^ (if t.optimize then "|opt" else "|unopt")
-        ^ (if t.optimize && t.vectorize then "|vec" else "")
-        ^ if t.optimize && t.vectorize && t.columnar then "|col" else ""
+        ^ if t.optimize && t.vectorize then "|vec" else ""
     in
     let seq =
       match Scan_cache.find t.scan_cache key with
@@ -175,7 +170,6 @@ let execute ?(bindings = []) t (q : X.query) =
     List.fold_left (fun ctx (name, seq) -> Eval.bind ctx name seq) ctx bindings
   in
   Eval.eval_query ~optimize:t.optimize ~vectorize:t.vectorize
-    ~columnar:t.columnar
     ~scan_cache:(Scan_cache.enabled t.scan_cache)
     ctx q
 
@@ -202,17 +196,25 @@ let text_of_sequence = function
 
 let execute_to_text ?bindings t q = text_of_sequence (execute ?bindings t q)
 
-type prepared = Aqua_xqeval.Compile.compiled
+(* A plan for the compiled engine, or — on a [~vectorize:false]
+   server — the query itself, run on the interpreter at each execution
+   exactly as ad-hoc [execute] runs it. *)
+type prepared =
+  | Compiled of Aqua_xqeval.Compile.compiled
+  | Interpreted of t * X.query
 
 let prepare ?(vars = []) t (q : X.query) =
-  Aqua_xqeval.Compile.compile ~optimize:t.optimize ~vectorize:t.vectorize
-    ~columnar:t.columnar
-    ~scan_cache:(Scan_cache.enabled t.scan_cache)
-    ~resolve:(resolver t q.X.prolog.X.imports [])
-    ~vars q
+  if t.vectorize then
+    Compiled
+      (Aqua_xqeval.Compile.compile ~optimize:t.optimize
+         ~scan_cache:(Scan_cache.enabled t.scan_cache)
+         ~resolve:(resolver t q.X.prolog.X.imports [])
+         ~vars q)
+  else Interpreted (t, q)
 
-let execute_prepared ?bindings prepared =
-  Aqua_xqeval.Compile.run ?bindings prepared
+let execute_prepared ?bindings = function
+  | Compiled c -> Aqua_xqeval.Compile.run ?bindings c
+  | Interpreted (t, q) -> execute ?bindings t q
 
 let execute_prepared_to_text ?bindings prepared =
   text_of_sequence (execute_prepared ?bindings prepared)

@@ -11,7 +11,6 @@ type t
 val create :
   ?optimize:bool ->
   ?vectorize:bool ->
-  ?columnar:bool ->
   ?retry:Aqua_resilience.Retry.policy ->
   ?breaker:Aqua_resilience.Breaker.config ->
   ?scan_cache:bool ->
@@ -24,20 +23,15 @@ val create :
     [~optimize:false] keeps the naive nested-loop evaluator as a
     differential-testing oracle.
 
-    [vectorize] (default [true]) executes optimized plans through the
-    batched FLWOR engine ({!Aqua_xqeval.Batch}-sized batches of tuple
-    snapshots between clauses); [~vectorize:false] keeps the
-    tuple-at-a-time pipeline, the row-at-a-time oracle the batch
-    engine is differentially tested against.
-
-    [columnar] (default {!Aqua_xqeval.Batch.columnar}, meaningful only
-    with [vectorize]) selects the struct-of-arrays batch layout with
-    required-column pruning and vectorized aggregation kernels;
-    [~columnar:false] keeps the row-snapshot batch layout, the
-    columnar engine's differential oracle.  Logical scan-cache entries
-    are keyed by evaluator flavor (optimizer, batch engine and batch
-    layout), so oracle, batched and columnar servers sharing one cache
-    never serve each other's logical rows.
+    [vectorize] (default [true]) executes optimized plans, ad-hoc and
+    prepared, through the compiled engine ({!Aqua_xqeval.Compile}:
+    columnar {!Aqua_xqeval.Batch}-sized batches between clauses);
+    [~vectorize:false] runs every query, prepared ones included, on
+    the {!Aqua_xqeval.Eval} interpreter, the oracle the compiled
+    engine is differentially tested against.  Logical scan-cache
+    entries are keyed by evaluator flavor (optimizer and engine), so
+    oracle and compiled servers sharing one cache never serve each
+    other's logical rows.
 
     [scan_cache] (default [true]) enables scan materialization at both
     levels: the optimizer's per-plan scan-sharing hoist and the
@@ -107,14 +101,17 @@ val execute_to_text :
 
 type prepared
 (** A query compiled once (via {!Aqua_xqeval.Compile}) for repeated
-    execution — the server-side compilation step of the platform. *)
+    execution — the server-side compilation step of the platform.  On
+    a [~vectorize:false] server it is the query itself, interpreted at
+    each execution like {!execute}. *)
 
 val prepare :
   ?vars:string list -> t -> Aqua_xquery.Ast.query -> prepared
 (** [vars] declares external variables the query expects at execution
     (e.g. ["param1"] for prepared statements).
     @raise Aqua_xqeval.Compile.Compile_error on unknown functions or
-    variables. *)
+    variables (compiled engine only; the interpreter reports them as
+    dynamic errors at execution). *)
 
 val execute_prepared :
   ?bindings:(string * Aqua_xml.Item.sequence) list ->

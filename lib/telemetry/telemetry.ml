@@ -115,6 +115,7 @@ let c_col_pruned_columns = counter "xqeval.columnar.pruned_columns"
 let c_col_kernel_updates = counter "xqeval.columnar.kernel_updates"
 let c_text_encoder_fused = counter "xqeval.text_encoder.fused"
 let c_text_encoder_general = counter "xqeval.text_encoder.general"
+let c_interpret_fallbacks = counter "xqeval.interpret_fallbacks"
 let c_pool_borrows = counter "session_pool.borrows"
 let c_pool_rejections = counter "session_pool.rejections"
 let c_pool_waits = counter "session_pool.waits"

@@ -88,6 +88,8 @@ val c_text_encoder_fused : counter   (* text-wrapped plans whose rows encode
                                         themselves (Optimize) *)
 val c_text_encoder_general : counter (* text-wrapped plans left on the
                                         general wrapper *)
+val c_interpret_fallbacks : counter  (* optimized evaluations the compiler
+                                        rejected, answered by the interpreter *)
 val c_pool_borrows : counter         (* sessions handed out by the session pool *)
 val c_pool_rejections : counter      (* borrows rejected: pool exhausted (53300) *)
 val c_pool_waits : counter           (* borrows that had to wait for a release *)

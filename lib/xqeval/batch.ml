@@ -1,16 +1,10 @@
-(* Batch-size and layout configuration for the vectorized FLWOR
-   pipeline.
-
-   Two global knobs: the number of tuples a vectorized operator pushes
-   downstream at a time, and whether the batches use the columnar
-   (struct-of-arrays) layout or the PR 6 row-snapshot layout.  Both are
-   read from the environment at startup (AQUA_BATCH_SIZE /
-   AQUA_COLUMNAR) and overridable programmatically (the CLI's
-   --batch-size / --no-columnar flags and the differential tests both
-   go through [set_size] / [set_columnar]).  The size is read at
+(* Batch-size configuration for the compiled FLWOR pipeline: the
+   number of tuples an operator pushes downstream at a time.  Read from
+   the environment at startup (AQUA_BATCH_SIZE) and overridable
+   programmatically (the CLI's --batch-size flag and the differential
+   tests both go through [set_size]).  The size is read at
    *invocation* time by the compiled pipelines, so changing it affects
-   already-compiled plans; the layout is read at *compile* time, so it
-   selects which pipeline gets built. *)
+   already-compiled plans. *)
 
 let default_size = 1024
 
@@ -25,19 +19,8 @@ let size () = !current
 
 let set_size n = current := max 1 n
 
-(* ------------------------------------------------------------------ *)
-(* Columnar layout toggle                                             *)
-
-let columnar_initial =
-  match Sys.getenv_opt "AQUA_COLUMNAR" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
-let columnar_current = ref columnar_initial
-
-let columnar () = !columnar_current
-
-let set_columnar b = columnar_current := b
+(* Batches are always columnar; kept for the benchmark's trace pipeline. *)
+let columnar () = true
 
 (* ------------------------------------------------------------------ *)
 (* Struct-of-arrays batch                                             *)

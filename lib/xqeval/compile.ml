@@ -13,8 +13,9 @@ let cfail fmt = Format.kasprintf (fun s -> raise (Compile_error s)) fmt
 let dfail = Error.fail
 
 (* Runtime environment: one mutable slot per statically-resolved
-   variable.  Sequential evaluation makes slot mutation safe; clauses
-   that reorder tuples (order by, group by) snapshot the array. *)
+   variable.  Sequential evaluation makes slot mutation safe; FLWOR
+   pipelines keep their tuples in batch columns and load them into a
+   private scratch array per row. *)
 type rt = Item.sequence array
 
 type comp = rt -> Item.sequence
@@ -22,7 +23,7 @@ type comp = rt -> Item.sequence
 (* The structural type of an external function resolver ([Eval]'s
    [external_fn] is an alias of the same type; naming it structurally
    here keeps this module independent of [Eval], which now depends on
-   the compiler for its vectorized path). *)
+   the compiler). *)
 type resolver = string -> (Item.sequence list -> Item.sequence) option
 
 (* Compile-time environment: name -> slot. *)
@@ -30,8 +31,6 @@ type cenv = {
   slots : (string * int) list;
   next : int ref;
   resolve : resolver;
-  vectorize : bool;
-  columnar : bool;
 }
 
 let bind_slot cenv name =
@@ -185,121 +184,8 @@ let compare_order_keys ckeys ka kb =
   in
   go (List.combine (List.combine ka kb) ckeys)
 
-(* ------------------------------------------------------------------ *)
-(* Vectorized pipeline plumbing                                       *)
-
-(* A batch carries up to [cap] tuple snapshots (each a full slot
-   array) plus a selection vector: [vsel.(0 .. vn-1)] lists the live
-   row indices.  Freshly produced batches have an identity selection
-   (producers write [vsel] as they append); a where clause compacts
-   [vsel] in place without moving rows. *)
-type vbatch = {
-  vrows : rt array;
-  vsel : int array;
-  mutable vn : int;
-}
-
-(* Push-based operator chain: one [vsink] per clause, pushing into the
-   next.  [vflush] drains barrier state (sort/group buffers, partial
-   output batches) at end of stream. *)
-type vsink = {
-  vpush : vbatch -> unit;
-  vflush : unit -> unit;
-}
-
-(* Per-invocation context threaded to every operator: the batch
-   capacity, the pooled batch allocator, and whether telemetry was
-   enabled when the pipeline was entered. *)
-type vctx = {
-  vcap : int;
-  valloc : unit -> vbatch;
-  vinstr : bool;
-}
-
-(* Batch emission bookkeeping: a failpoint site per batch boundary plus
-   the xqeval.batch.* counters (bumped only where a batch is created —
-   the initial feed and expander/barrier emissions — so a disabled
-   vectorizer produces zero batch traffic). *)
-let vnote_batch n =
-  Failpoint.hit "xqeval.batch";
-  Telemetry.incr Telemetry.c_batch_batches;
-  Telemetry.add Telemetry.c_batch_rows n
-
-(* Batch buffers are pooled at module level: [Server.execute]
-   recompiles its plan on every call, so a per-closure pool would never
-   see a second invocation — and at large batch sizes the O(capacity)
-   buffer allocation per call is the dominant driver cost.  Acquire
-   removes a buffer from the pool (re-entrant pipelines therefore just
-   take distinct buffers); a normal completion returns them, a failed
-   invocation drops them to the GC.  Only buffers of the current batch
-   capacity are kept, and the pool is bounded — pooled buffers retain
-   the last invocation's row references until overwritten, so the bound
-   also caps that residue. *)
-(* Domain-local: pooled buffers are written in place by whichever
-   pipeline holds them, so two domains must never draw from one pool.
-   Per-domain pools need no locking and no cross-core cache traffic;
-   the cost is one pool's worth of buffers per serving domain. *)
-let vbatch_pools : (int * vbatch list ref) list ref Mcore.Dls.key =
-  Mcore.Dls.new_key (fun () -> ref [])
-
-let vbatch_pool_caps = 8  (* distinct batch capacities kept alive *)
-let vbatch_pool_cap = 16  (* buffers kept per capacity *)
-
-let vbatch_pool_for cap =
-  let vbatch_pools = Mcore.Dls.get vbatch_pools in
-  match List.assoc_opt cap !vbatch_pools with
-  | Some p -> p
-  | None ->
-    let p = ref [] in
-    let rec keep n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | e :: rest -> e :: keep (n - 1) rest
-    in
-    vbatch_pools := (cap, p) :: keep (vbatch_pool_caps - 1) !vbatch_pools;
-    p
-
-let vbatch_release pool acquired =
-  let rec keep n bs =
-    if n = 0 then []
-    else match bs with [] -> [] | b :: rest -> b :: keep (n - 1) rest
-  in
-  pool := keep vbatch_pool_cap (List.rev_append acquired !pool)
-
-(* Copy row [src] into the batch-owned row storage at index [j] and
-   return it.  Batches own their row arrays: an expander refilling a
-   batch overwrites the same arrays every time, so a full-capacity
-   batch touches the same cache-resident storage on every refill
-   instead of sweeping fresh minor-heap lines.  The flip side is the
-   usual vectorized-execution ownership contract: a row is valid only
-   until the operator that pushed it refills its batch, so anything
-   retaining a row past its vpush (the sort/group barriers) must copy
-   it out. *)
-let vrow_into b j (src : rt) : rt =
-  let n = Array.length src in
-  let dst = b.vrows.(j) in
-  if Array.length dst = n then begin
-    Array.blit src 0 dst 0 n;
-    dst
-  end
-  else begin
-    let dst = Array.copy src in
-    b.vrows.(j) <- dst;
-    dst
-  end
-
-(* Per-clause row accounting under the same labels the interpreter
-   uses, resolved once per invocation and bulk-added per batch. *)
-let vcounter vctx label =
-  if not vctx.vinstr then fun _ -> ()
-  else begin
-    let c = Telemetry.clause_counter label in
-    fun n ->
-      if n > 0 then begin
-        Telemetry.add c n;
-        Telemetry.add Telemetry.c_rows_emitted n
-      end
-  end
+(* The first [n] elements of [l]. *)
+let take n l = List.filteri (fun i _ -> i < n) l
 
 (* Cross-invocation reuse of hash-join build tables.
 
@@ -323,7 +209,7 @@ type jt_entry = {
   je_table : Join_table.t;
 }
 
-(* Domain-local for the same reason as the batch pools: the cache is a
+(* Domain-local, like the batch pools below: the cache is a
    mutable MRU list probed on every hash-join build, and sharding it
    per domain keeps the probe lock-free.  The build tables themselves
    are immutable once built, and the scan cache already shares the
@@ -351,23 +237,24 @@ let jt_store src key value_cmp table =
   let e =
     { je_src = src; je_key = key; je_cmp = value_cmp; je_table = table }
   in
-  let kept = List.filteri (fun i _ -> i < jt_cache_cap - 1) !jt_cache in
-  jt_cache := e :: kept
+  jt_cache := e :: take (jt_cache_cap - 1) !jt_cache
 
 (* ------------------------------------------------------------------ *)
 (* Columnar (struct-of-arrays) pipeline plumbing
 
-   The columnar engine replaces the row-snapshot batches above with one
-   value vector per bound variable ([Batch.columns]): operators read
-   and write whole columns under a selection vector, and expanders and
-   barriers copy only the columns the remainder of the pipeline can
-   still read (required-column pruning, computed from
-   [Optimize.free_vars] at compile time).  Per-row expression
-   evaluation reuses the row compiler's closures: each operator gathers
-   just its own free-variable columns into a per-invocation scratch
-   slot array and runs the ordinary [comp] on it. *)
+   FLWOR pipelines run over batches with one value vector per bound
+   variable ([Batch.columns]): operators read and write whole columns
+   under a selection vector, and expanders and barriers copy only the
+   columns the remainder of the pipeline can still read
+   (required-column pruning, computed from [Optimize.free_vars] at
+   compile time).  Per-row expression evaluation reuses the scalar
+   closures: each operator gathers just its own free-variable columns
+   into a per-invocation scratch slot array and runs the ordinary
+   [comp] on it. *)
 
-(* Push-based columnar operator chain, mirroring [vsink]. *)
+(* Push-based operator chain: one [csink] per clause, pushing into the
+   next.  [cflush] drains barrier state (sort/group buffers, partial
+   output batches) at end of stream. *)
 type csink = {
   cpush : Batch.columns -> unit;
   cflush : unit -> unit;
@@ -386,20 +273,37 @@ type cctx = {
   cscratch : rt;
 }
 
-(* Columnar batch emission: the same failpoint site and batch counters
-   as the row-batch engine (so batch-boundary failpoint and toggle
-   tests hold on both layouts), plus the columnar-specific traffic
-   counters layered on top. *)
-let cnote_batch n =
-  vnote_batch n;
+(* Batch emission bookkeeping: a failpoint site per batch boundary plus
+   the xqeval.batch.* and xqeval.columnar.* traffic counters, bumped
+   only where a batch is created (the initial feed and expander/barrier
+   emissions), so the interpreter produces zero batch traffic. *)
+let note_batch n =
+  Failpoint.hit "xqeval.batch";
+  Telemetry.incr Telemetry.c_batch_batches;
+  Telemetry.add Telemetry.c_batch_rows n;
   Telemetry.incr Telemetry.c_col_batches;
   Telemetry.add Telemetry.c_col_rows n
 
-(* Columnar buffers are pooled per domain exactly like [vbatch_pools];
-   a pooled buffer is re-shaped to the current plan's slot count and
-   capacity by [Batch.ensure_columns] on acquire. *)
+(* Batch buffers are pooled at module level: [Server.execute] recompiles
+   its plan on every call, so a per-closure pool would never see a
+   second invocation, and at large batch sizes the O(capacity) buffer
+   allocation per call would dominate.  Acquire removes a buffer from
+   the pool (re-entrant pipelines therefore just take distinct
+   buffers); a normal completion returns them, a failed invocation
+   drops them to the GC.  A pooled buffer is re-shaped to the current
+   plan's slot count and capacity by [Batch.ensure_columns] on acquire.
+   The pools are bounded: pooled buffers retain the last invocation's
+   cells until overwritten, so the bound also caps that residue.
+
+   Domain-local: pooled buffers are written in place by whichever
+   pipeline holds them, so two domains must never draw from one pool.
+   Per-domain pools need no locking and no cross-core cache traffic;
+   the cost is one pool's worth of buffers per serving domain. *)
 let cbatch_pools : (int * Batch.columns list ref) list ref Mcore.Dls.key =
   Mcore.Dls.new_key (fun () -> ref [])
+
+let cbatch_pool_caps = 8  (* distinct batch capacities kept alive *)
+let cbatch_pool_cap = 16  (* buffers kept per capacity *)
 
 let cbatch_pool_for cap =
   let cbatch_pools = Mcore.Dls.get cbatch_pools in
@@ -407,20 +311,11 @@ let cbatch_pool_for cap =
   | Some p -> p
   | None ->
     let p = ref [] in
-    let rec keep n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | e :: rest -> e :: keep (n - 1) rest
-    in
-    cbatch_pools := (cap, p) :: keep (vbatch_pool_caps - 1) !cbatch_pools;
+    cbatch_pools := (cap, p) :: take (cbatch_pool_caps - 1) !cbatch_pools;
     p
 
 let cbatch_release (pool : Batch.columns list ref) acquired =
-  let rec keep n bs =
-    if n = 0 then []
-    else match bs with [] -> [] | b :: rest -> b :: keep (n - 1) rest
-  in
-  pool := keep vbatch_pool_cap (List.rev_append acquired !pool)
+  pool := take cbatch_pool_cap (List.rev_append acquired !pool)
 
 let ccounter cctx label =
   if not cctx.cinstr then fun _ -> ()
@@ -494,7 +389,7 @@ let rec compile_expr_c (cenv : cenv) (e : X.expr) : comp =
             List.fold_left (fun items p -> p rt items) widened preds)
           (cbase rt) csteps)
   | X.Call ("fn:string-join", [ rows; X.Literal (Atomic.String "") ])
-    when cenv.vectorize && cenv.columnar && Optimize.fused_rows rows ->
+    when Optimize.fused_rows rows ->
     let encode = compile_text_rows cenv rows in
     fun rt ->
       (* small enough for the minor heap: key lookups return a row or
@@ -656,612 +551,15 @@ and compile_predicate cenv (pred : X.expr) : rt -> Item.sequence -> Item.sequenc
         | result -> Item.effective_boolean_value result)
       items
 
-(* FLWOR compilation dispatch: the columnar struct-of-arrays pipeline
-   by default, the row-snapshot batch pipeline with [~columnar:false]
-   (the differential oracle for the columnar layout), and the
-   tuple-at-a-time snapshot pipeline with [~vectorize:false] (the
-   oracle both batch engines are differentially tested against). *)
-and compile_flwor cenv (f : X.flwor) : comp =
-  if cenv.vectorize then
-    if cenv.columnar then compile_flwor_col cenv f
-    else compile_flwor_vec cenv f
-  else compile_flwor_row cenv f
-
-(* Tuple-at-a-time FLWOR compilation.  Chains of for/let/where
-   ("segments") run as per-tuple nested loops; order-by and group-by
-   are barriers that must see the whole tuple stream.  A compiled
-   pipeline is therefore a transformer over snapshot lists:
-
-     lift(segment0) ; barrier1 ; lift(segment1) ; ... ; return
-
-   where a snapshot is a copy of the slot array and [lift] maps a
-   per-tuple segment over every incoming snapshot. *)
-and compile_flwor_row cenv (f : X.flwor) : comp =
-  (* a segment enumerates the tuples reachable from the current slots *)
-  let rec segment cenv clauses : (rt -> rt list) * cenv =
-    match clauses with
-    | [] ->
-      ( (fun rt ->
-          (* one budget step per tuple completing a segment: the
-             compiled pipeline stays cancelable between tuples *)
-          Budget.step ();
-          [ Array.copy rt ]),
-        cenv )
-    | X.For { var; source } :: rest ->
-      let csrc = compile_expr_c cenv source in
-      let cenv', slot = bind_slot cenv var in
-      let inner, cenv_out = segment cenv' rest in
-      ( (fun rt ->
-          List.concat_map
-            (fun item ->
-              Budget.step ();
-              rt.(slot) <- [ item ];
-              inner rt)
-            (csrc rt)),
-        cenv_out )
-    | X.Let { var; value } :: rest ->
-      let cval = compile_expr_c cenv value in
-      let cenv', slot = bind_slot cenv var in
-      let inner, cenv_out = segment cenv' rest in
-      ( (fun rt ->
-          rt.(slot) <- cval rt;
-          inner rt),
-        cenv_out )
-    | X.Where cond :: rest ->
-      let ccond = compile_expr_c cenv cond in
-      let inner, cenv_out = segment cenv rest in
-      ( (fun rt ->
-          if Item.effective_boolean_value (ccond rt) then inner rt else []),
-        cenv_out )
-    | (X.Order_by _ | X.Group _ | X.Hash_join _) :: _ ->
-      assert false  (* split below *)
-  in
-  (* Hash joins are handled at the stage level (not inside a segment):
-     the build table must be created per invocation of the compiled
-     code — a compile-time closure would leak the table across
-     re-evaluations of the FLWOR under different outer bindings. *)
-  let split_barrier clauses =
-    let rec go acc = function
-      | [] -> (List.rev acc, None, [])
-      | ((X.Order_by _ | X.Group _ | X.Hash_join _) as b) :: rest ->
-        (List.rev acc, Some b, rest)
-      | c :: rest -> go (c :: acc) rest
-    in
-    go [] clauses
-  in
-  (* stages : rt -> snapshot list -> snapshot list *)
-  let rec stages cenv clauses : (rt -> rt list -> rt list) * cenv =
-    let before, barrier, rest = split_barrier clauses in
-    let cseg, cenv1 = segment cenv before in
-    let lifted rt snaps =
-      List.concat_map
-        (fun snap ->
-          Array.blit snap 0 rt 0 (Array.length snap);
-          cseg rt)
-        snaps
-    in
-    match barrier with
-    | None -> (lifted, cenv1)
-    | Some (X.Order_by specs) ->
-      let ckeys =
-        List.map
-          (fun (s : X.order_spec) ->
-            (compile_expr_c cenv1 s.X.key, s.X.descending, s.X.empty))
-          specs
-      in
-      let crest, cenv_out = stages cenv1 rest in
-      ( (fun rt snaps ->
-          let keyed =
-            List.map
-              (fun snap ->
-                ( List.map (fun (ck, _, _) -> Item.atomize (ck snap)) ckeys,
-                  snap ))
-              (lifted rt snaps)
-          in
-          let compare_keyed (ka, _) (kb, _) = compare_order_keys ckeys ka kb in
-          crest rt
-            (List.map snd (List.stable_sort compare_keyed keyed))),
-        cenv_out )
-    | Some (X.Group { grouped; partition; keys }) ->
-      let grouped_slot = lookup_slot cenv1 grouped in
-      let ckeys = List.map (fun (k, _) -> compile_expr_c cenv1 k) keys in
-      (* post-group scope: outer bindings + key vars + partition — the
-         segment's own bindings are dropped, matching Eval *)
-      let cenv_post = { cenv1 with slots = cenv.slots } in
-      let cenv_post, key_slots =
-        List.fold_left
-          (fun (ce, acc) (_, var) ->
-            let ce', slot = bind_slot ce var in
-            (ce', slot :: acc))
-          (cenv_post, []) keys
-      in
-      let key_slots = List.rev key_slots in
-      let cenv_post, partition_slot = bind_slot cenv_post partition in
-      let crest, cenv_out = stages cenv_post rest in
-      ( (fun rt snaps ->
-          let table = Hashtbl.create 16 in
-          let order = ref [] in
-          (* per-invocation key scratch: [composite_into] reuses one
-             buffer across every tuple of this group operator instead
-             of allocating a fresh one per key (invocation-local, so
-             shared plans stay safe across domains) *)
-          let keybuf = Buffer.create 64 in
-          List.iter
-            (fun snap ->
-              let key_values = List.map (fun ck -> ck snap) ckeys in
-              let key_string = Group_key.composite_into keybuf key_values in
-              match Hashtbl.find_opt table key_string with
-              | Some (acc, _, _) -> acc := snap.(grouped_slot) :: !acc
-              | None ->
-                Hashtbl.add table key_string
-                  (ref [ snap.(grouped_slot) ], key_values, snap);
-                order := key_string :: !order)
-            (lifted rt snaps);
-          let grouped_snaps =
-            List.map
-              (fun key_string ->
-                let acc, key_values, first_snap =
-                  Hashtbl.find table key_string
-                in
-                let out = Array.copy first_snap in
-                List.iter2
-                  (fun slot v -> out.(slot) <- v)
-                  key_slots key_values;
-                out.(partition_slot) <- List.concat (List.rev !acc);
-                out)
-              (List.rev !order)
-          in
-          crest rt grouped_snaps),
-        cenv_out )
-    | Some (X.Hash_join { var; source; build_key; probe_key; value_cmp }) ->
-      let csrc = compile_expr_c cenv1 source in
-      let cprobe = compile_expr_c cenv1 probe_key in
-      let cenv2, var_slot = bind_slot cenv1 var in
-      let cbuild = compile_expr_c cenv2 build_key in
-      let crest, cenv_out = stages cenv2 rest in
-      ( (fun rt snaps ->
-          Failpoint.hit "xqeval.hashjoin";
-          match lifted rt snaps with
-          | [] -> crest rt []  (* empty probe stream: never build *)
-          | first :: _ as snaps ->
-            (* [source] and [build_key] only read outer slots (plus the
-               join variable), which hold the same values in every
-               snapshot — evaluating against the first is safe. *)
-            Array.blit first 0 rt 0 (Array.length first);
-            let table =
-              Join_table.build (csrc rt)
-                ~key_of:(fun item ->
-                  rt.(var_slot) <- [ item ];
-                  cbuild rt)
-                ~value_cmp
-            in
-            let joined =
-              List.concat_map
-                (fun snap ->
-                  Array.blit snap 0 rt 0 (Array.length snap);
-                  let probe_atoms = Item.atomize (cprobe rt) in
-                  List.map
-                    (fun k ->
-                      rt.(var_slot) <- [ table.Join_table.items.(k) ];
-                      Array.copy rt)
-                    (Join_table.probe table ~value_cmp probe_atoms))
-                snaps
-            in
-            crest rt joined),
-        cenv_out )
-    | Some (X.For _ | X.Let _ | X.Where _) -> assert false
-  in
-  let cstages, cenv_ret = stages cenv f.X.clauses in
-  let cret = compile_expr_c cenv_ret f.X.return in
-  fun rt ->
-    let finals = cstages rt [ Array.copy rt ] in
-    List.concat_map
-      (fun snap ->
-        Array.blit snap 0 rt 0 (Array.length snap);
-        cret rt)
-      finals
-
-(* Vectorized FLWOR compilation.  Each clause becomes a push-based
-   operator over batches of tuple snapshots; per-clause setup (slot
+(* FLWOR compilation: the one lowering of a FLWOR.  Each clause becomes
+   a push-based operator over [Batch.columns] (one value vector per
+   bound slot plus a selection vector); per-clause setup (slot
    resolution, key compilation, group-key buffers, clause counters) is
-   hoisted out of the inner loop, where filters compact the selection
-   vector in place, and expanders (for, hash-join) append into a
-   pooled output batch flushed downstream at capacity.
-
-   Ownership: batches own their row storage ([vrow_into]).  A row is
-   valid only while its producing operator is between refills — the
-   pipeline is synchronous, so that covers the whole downstream chain
-   for the duration of one vpush.  A let clause may therefore write its
-   slot into the row in place, but the sort/group barriers, which keep
-   rows across batch boundaries, copy each retained row out of the
-   batch first.
-
-   Resilience: [Budget.steps] is charged per batch receipt at every
-   operator plus per produced row at expanders, so fuel accounting
-   stays within a constant factor of the tuple-at-a-time pipeline and
-   deadlines cancel between batches; the "xqeval.batch" failpoint
-   fires at every batch emission, and the per-clause "xqeval.clause" /
-   "xqeval.hashjoin" sites fire once per clause per invocation,
-   matching the interpreter's eager pipeline construction. *)
-and compile_flwor_vec cenv (f : X.flwor) : comp =
-  (* [build] compiles each clause to an operator maker, threading the
-     slot environment exactly as the row path does.  [stage_base] is
-     the environment at the start of the current stage (i.e. after the
-     previous barrier): the group-by clause drops the current stage's
-     segment bindings back to it, mirroring [compile_flwor_row]. *)
-  let rec build cenv stage_base i clauses :
-      (string * (vctx -> vsink -> vsink)) list * cenv =
-    match clauses with
-    | [] -> ([], cenv)
-    | clause :: rest ->
-      let labeled_mk, cenv', base' =
-        match clause with
-        | X.For { var; source } ->
-          let csrc = compile_expr_c cenv source in
-          let cenv', slot = bind_slot cenv var in
-          let label = "for $" ^ var in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            let out = vctx.valloc () in
-            let emit () =
-              if out.vn > 0 then begin
-                vnote_batch out.vn;
-                down.vpush out;
-                out.vn <- 0
-              end
-            in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  for k = 0 to b.vn - 1 do
-                    let r = b.vrows.(b.vsel.(k)) in
-                    match csrc r with
-                    | [] -> ()
-                    | items ->
-                      Budget.steps (List.length items);
-                      count (List.length items);
-                      List.iter
-                        (fun item ->
-                          let o = vrow_into out out.vn r in
-                          o.(slot) <- [ item ];
-                          out.vsel.(out.vn) <- out.vn;
-                          out.vn <- out.vn + 1;
-                          if out.vn = vctx.vcap then emit ())
-                        items
-                  done);
-              vflush =
-                (fun () ->
-                  emit ();
-                  down.vflush ());
-            }
-          in
-          ((label, mk), cenv', stage_base)
-        | X.Let { var; value } ->
-          let cval = compile_expr_c cenv value in
-          let cenv', slot = bind_slot cenv var in
-          let label = "let $" ^ var in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  for k = 0 to b.vn - 1 do
-                    let r = b.vrows.(b.vsel.(k)) in
-                    r.(slot) <- cval r
-                  done;
-                  count b.vn;
-                  if b.vn > 0 then down.vpush b);
-              vflush = (fun () -> down.vflush ());
-            }
-          in
-          ((label, mk), cenv', stage_base)
-        | X.Where cond ->
-          let ccond = compile_cond cenv cond in
-          let label = Printf.sprintf "where@%d" i in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  let n = b.vn in
-                  let j = ref 0 in
-                  for k = 0 to n - 1 do
-                    let idx = b.vsel.(k) in
-                    if ccond b.vrows.(idx)
-                    then begin
-                      b.vsel.(!j) <- idx;
-                      incr j
-                    end
-                  done;
-                  b.vn <- !j;
-                  Telemetry.add Telemetry.c_batch_filtered (n - !j);
-                  count !j;
-                  if b.vn > 0 then down.vpush b);
-              vflush = (fun () -> down.vflush ());
-            }
-          in
-          ((label, mk), cenv, stage_base)
-        | X.Order_by specs ->
-          let ckeys =
-            List.map
-              (fun (s : X.order_spec) ->
-                (compile_expr_c cenv s.X.key, s.X.descending, s.X.empty))
-              specs
-          in
-          let label = Printf.sprintf "order-by@%d" i in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            let acc = ref [] in
-            let out = vctx.valloc () in
-            let emit () =
-              if out.vn > 0 then begin
-                vnote_batch out.vn;
-                down.vpush out;
-                out.vn <- 0
-              end
-            in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  for k = 0 to b.vn - 1 do
-                    let r = b.vrows.(b.vsel.(k)) in
-                    let keys =
-                      List.map (fun (ck, _, _) -> Item.atomize (ck r)) ckeys
-                    in
-                    (* retained past this vpush: copy out of the batch *)
-                    acc := (keys, Array.copy r) :: !acc
-                  done);
-              vflush =
-                (fun () ->
-                  let keyed = List.rev !acc in
-                  acc := [];
-                  let sorted =
-                    List.stable_sort
-                      (fun (ka, _) (kb, _) -> compare_order_keys ckeys ka kb)
-                      keyed
-                  in
-                  count (List.length sorted);
-                  List.iter
-                    (fun (_, r) ->
-                      out.vrows.(out.vn) <- r;
-                      out.vsel.(out.vn) <- out.vn;
-                      out.vn <- out.vn + 1;
-                      if out.vn = vctx.vcap then emit ())
-                    sorted;
-                  emit ();
-                  down.vflush ());
-            }
-          in
-          ((label, mk), cenv, cenv)
-        | X.Group { grouped; partition; keys } ->
-          let grouped_slot = lookup_slot cenv grouped in
-          let ckeys = List.map (fun (k, _) -> compile_expr_c cenv k) keys in
-          (* post-group scope: stage-entry bindings + key vars +
-             partition — the segment's own bindings are dropped *)
-          let cenv_post = { cenv with slots = stage_base.slots } in
-          let cenv_post, key_slots =
-            List.fold_left
-              (fun (ce, acc) (_, var) ->
-                let ce', slot = bind_slot ce var in
-                (ce', slot :: acc))
-              (cenv_post, []) keys
-          in
-          let key_slots = List.rev key_slots in
-          let cenv_post, partition_slot = bind_slot cenv_post partition in
-          let label = "group by -> $" ^ partition in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            let table = Hashtbl.create 16 in
-            let order = ref [] in
-            let keybuf = Buffer.create 64 in
-            let out = vctx.valloc () in
-            let emit () =
-              if out.vn > 0 then begin
-                vnote_batch out.vn;
-                down.vpush out;
-                out.vn <- 0
-              end
-            in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  for k = 0 to b.vn - 1 do
-                    let r = b.vrows.(b.vsel.(k)) in
-                    let key_values = List.map (fun ck -> ck r) ckeys in
-                    let key_string =
-                      Group_key.composite_into keybuf key_values
-                    in
-                    match Hashtbl.find_opt table key_string with
-                    | Some (acc, _, _) -> acc := r.(grouped_slot) :: !acc
-                    | None ->
-                      (* retained past this vpush: copy out of the batch *)
-                      Hashtbl.add table key_string
-                        (ref [ r.(grouped_slot) ], key_values, Array.copy r);
-                      order := key_string :: !order
-                  done);
-              vflush =
-                (fun () ->
-                  let groups = List.rev !order in
-                  count (List.length groups);
-                  List.iter
-                    (fun key_string ->
-                      let acc, key_values, first =
-                        Hashtbl.find table key_string
-                      in
-                      let o = Array.copy first in
-                      List.iter2
-                        (fun slot v -> o.(slot) <- v)
-                        key_slots key_values;
-                      o.(partition_slot) <- List.concat (List.rev !acc);
-                      out.vrows.(out.vn) <- o;
-                      out.vsel.(out.vn) <- out.vn;
-                      out.vn <- out.vn + 1;
-                      if out.vn = vctx.vcap then emit ())
-                    groups;
-                  emit ();
-                  down.vflush ());
-            }
-          in
-          ((label, mk), cenv_post, cenv_post)
-        | X.Hash_join { var; source; build_key; probe_key; value_cmp } ->
-          let csrc = compile_expr_c cenv source in
-          let cprobe = compile_expr_c cenv probe_key in
-          let cenv2, var_slot = bind_slot cenv var in
-          let cbuild = compile_expr_c cenv2 build_key in
-          (* reuse eligibility is static: a closed source whose build
-             key touches only the join variable always yields the same
-             table for the same materialized source sequence *)
-          let cacheable =
-            Optimize.Vars.is_empty (Optimize.free_vars source)
-            && Optimize.Vars.subset
-                 (Optimize.free_vars build_key)
-                 (Optimize.Vars.singleton var)
-          in
-          let label = "hash-join $" ^ var in
-          let mk vctx down =
-            let count = vcounter vctx label in
-            (* the build table is created on the first probe-side row
-               (an empty probe stream never builds), per invocation *)
-            let table = ref None in
-            let out = vctx.valloc () in
-            let emit () =
-              if out.vn > 0 then begin
-                vnote_batch out.vn;
-                down.vpush out;
-                out.vn <- 0
-              end
-            in
-            { vpush =
-                (fun b ->
-                  Budget.steps b.vn;
-                  for k = 0 to b.vn - 1 do
-                    let r = b.vrows.(b.vsel.(k)) in
-                    let t =
-                      match !table with
-                      | Some t -> t
-                      | None ->
-                        (* [source] and [build_key] only read outer
-                           slots (plus the join variable), which hold
-                           the same values in every row *)
-                        let src = csrc r in
-                        let build () =
-                          Join_table.build src
-                            ~key_of:(fun item ->
-                              r.(var_slot) <- [ item ];
-                              cbuild r)
-                            ~value_cmp
-                        in
-                        let t =
-                          if not cacheable then build ()
-                          else
-                            match jt_find src build_key value_cmp with
-                            | Some t ->
-                              (* budget parity with a real build: the
-                                 materialized build side still counts
-                                 against the item governor *)
-                              Budget.tick_items
-                                (Array.length t.Join_table.items);
-                              Telemetry.incr Telemetry.c_hash_join_reused;
-                              t
-                            | None ->
-                              let t = build () in
-                              jt_store src build_key value_cmp t;
-                              t
-                        in
-                        table := Some t;
-                        t
-                    in
-                    let probe_atoms = Item.atomize (cprobe r) in
-                    match Join_table.probe t ~value_cmp probe_atoms with
-                    | [] -> ()
-                    | matches ->
-                      Budget.steps (List.length matches);
-                      count (List.length matches);
-                      List.iter
-                        (fun m ->
-                          let o = vrow_into out out.vn r in
-                          o.(var_slot) <- [ t.Join_table.items.(m) ];
-                          out.vsel.(out.vn) <- out.vn;
-                          out.vn <- out.vn + 1;
-                          if out.vn = vctx.vcap then emit ())
-                        matches
-                  done);
-              vflush =
-                (fun () ->
-                  emit ();
-                  down.vflush ());
-            }
-          in
-          ((label, mk), cenv2, cenv2)
-      in
-      let mks, cenv_out = build cenv' base' (i + 1) rest in
-      (labeled_mk :: mks, cenv_out)
-  in
-  let mks, cenv_ret = build cenv cenv 0 f.X.clauses in
-  let cret = compile_expr_c cenv_ret f.X.return in
-  fun rt ->
-    (* clause failpoints fire once per clause per invocation, like the
-       interpreter's eager pipeline fold *)
-    List.iter
-      (fun clause ->
-        Failpoint.hit "xqeval.clause";
-        match clause with
-        | X.Hash_join _ -> Failpoint.hit "xqeval.hashjoin"
-        | _ -> ())
-      f.X.clauses;
-    let cap = Batch.size () in
-    let pool = vbatch_pool_for cap in
-    let acquired = ref [] in
-    let valloc () =
-      let b =
-        match !pool with
-        | b :: rest ->
-          pool := rest;
-          b.vn <- 0;
-          b
-        | [] ->
-          { vrows = Array.make cap [||]; vsel = Array.make cap 0; vn = 0 }
-      in
-      acquired := b :: !acquired;
-      b
-    in
-    let vctx = { vcap = cap; valloc; vinstr = Telemetry.enabled () } in
-    (* The operator chain is built downstream-first, so counters would
-       otherwise register last-clause-first; touch them in pipeline
-       order so clause_rows reads like the plan (as the interpreter's
-       clause fold produces naturally). *)
-    if vctx.vinstr then
-      List.iter
-        (fun (label, _) -> ignore (Telemetry.clause_counter label))
-        mks;
-    let results = ref [] in
-    let sink =
-      { vpush =
-          (fun b ->
-            Budget.steps b.vn;
-            for k = 0 to b.vn - 1 do
-              results := cret b.vrows.(b.vsel.(k)) :: !results
-            done);
-        vflush = (fun () -> ());
-      }
-    in
-    let chain =
-      List.fold_left (fun down (_, mk) -> mk vctx down) sink (List.rev mks)
-    in
-    let feed = valloc () in
-    ignore (vrow_into feed 0 rt);
-    feed.vsel.(0) <- 0;
-    feed.vn <- 1;
-    vnote_batch 1;
-    chain.vpush feed;
-    chain.vflush ();
-    vbatch_release pool !acquired;
-    List.concat (List.rev !results)
-
-(* Columnar FLWOR compilation.  Same push-based operator chain as the
-   row-batch engine, over [Batch.columns] (one value vector per bound
-   slot plus a selection vector) instead of row-snapshot arrays.  Two
-   things change materially:
+   hoisted out of the inner loop, filters compact the selection vector
+   in place, and expanders (for, hash-join) append into a pooled output
+   batch flushed downstream at capacity.  Order-by and group-by are
+   barriers that see the whole tuple stream before emitting.  Two
+   further things keep the batches small and the loops tight:
 
    - Required-column pruning.  Each expander/barrier computes at
      compile time which slots the *remainder* of the pipeline (later
@@ -1286,11 +584,13 @@ and compile_flwor_vec cenv (f : X.flwor) : comp =
    are never clobbered, and nested FLWORs / quantifiers write their own
    fresh slots before reading them.
 
-   Resilience parity with the row-batch engine: [Budget.steps] per
-   batch receipt per operator plus per produced row at expanders,
-   "xqeval.batch" (via [cnote_batch]) at every batch creation,
-   "xqeval.clause"/"xqeval.hashjoin" once per clause per invocation. *)
-and compile_flwor_col cenv (f : X.flwor) : comp =
+   Resilience: [Budget.steps] is charged per batch receipt at every
+   operator plus per produced row at expanders, so deadlines cancel
+   between batches; "xqeval.batch" (via [note_batch]) fires at every
+   batch creation, and "xqeval.clause"/"xqeval.hashjoin" once per
+   clause per invocation, matching the interpreter's eager pipeline
+   construction. *)
+and compile_flwor cenv (f : X.flwor) : comp =
   let run =
     col_pipeline cenv f (fun cenv_ret treturn ->
         let cret = compile_expr_c cenv_ret treturn in
@@ -1301,7 +601,7 @@ and compile_flwor_col cenv (f : X.flwor) : comp =
     run rt results;
     List.concat (List.rev !results)
 
-(* The columnar pipeline of [f], parameterized by its return: [ret]
+(* The pipeline of [f], parameterized by its return: [ret]
    compiles the return expression against the pipeline's final
    environment into a per-row consumer, which every selected row of the
    final batch feeds with the scratch row and the invocation's
@@ -1312,7 +612,7 @@ and col_pipeline :
  fun cenv f ret ->
   (* Fuse kernelizable group clauses with their post-group aggregate
      reads before compiling.  The rewrite happens here — in the
-     columnar lowering only — so the row and row-batch oracles keep
+     lowering, not the optimizer — so the interpreter oracle keeps
      evaluating the original AST. *)
   let rec transform clauses return_ =
     match clauses with
@@ -1394,7 +694,7 @@ and col_pipeline :
             let var_col = Batch.column out slot in
             let emit () =
               if out.Batch.n > 0 then begin
-                cnote_batch out.Batch.n;
+                note_batch out.Batch.n;
                 Telemetry.add Telemetry.c_col_pruned_columns
                   (pruned * out.Batch.n);
                 down.cpush out;
@@ -1507,7 +807,7 @@ and col_pipeline :
             let out_cols = Array.map (Batch.column out) retain in
             let emit () =
               if out.Batch.n > 0 then begin
-                cnote_batch out.Batch.n;
+                note_batch out.Batch.n;
                 down.cpush out;
                 out.Batch.n <- 0
               end
@@ -1592,7 +892,7 @@ and col_pipeline :
             let part_col = Batch.column out partition_slot in
             let emit () =
               if out.Batch.n > 0 then begin
-                cnote_batch out.Batch.n;
+                note_batch out.Batch.n;
                 down.cpush out;
                 out.Batch.n <- 0
               end
@@ -1698,7 +998,7 @@ and col_pipeline :
             let out_specs = Array.map (Batch.column out) spec_slots in
             let emit () =
               if out.Batch.n > 0 then begin
-                cnote_batch out.Batch.n;
+                note_batch out.Batch.n;
                 down.cpush out;
                 out.Batch.n <- 0
               end
@@ -1814,7 +1114,7 @@ and col_pipeline :
             let var_col = Batch.column out var_slot in
             let emit () =
               if out.Batch.n > 0 then begin
-                cnote_batch out.Batch.n;
+                note_batch out.Batch.n;
                 Telemetry.add Telemetry.c_col_pruned_columns
                   (pruned * out.Batch.n);
                 down.cpush out;
@@ -1951,7 +1251,7 @@ and col_pipeline :
       entry_copy;
     feed.Batch.sel.(0) <- 0;
     feed.Batch.n <- 1;
-    cnote_batch 1;
+    note_batch 1;
     chain.cpush feed;
     chain.cflush ();
     cbatch_release pool !acquired
@@ -2051,9 +1351,8 @@ type compiled = {
 
 let no_resolve _ = None
 
-let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
-    ?(columnar = Batch.columnar ()) ?(resolve = no_resolve) ?(vars = [])
-    (e : X.expr) =
+let compile_expr ?(optimize = true) ?(scan_cache = true) ?(resolve = no_resolve)
+    ?(vars = []) (e : X.expr) =
   (* scoping is checked on the un-optimized AST: pushdown deliberately
      leaves hazardous predicates in place, and the error should point
      at what the caller wrote *)
@@ -2067,10 +1366,10 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
    | None -> ());
   let e =
     if optimize then
-      fst (Optimize.expr ~share_scans:scan_cache ~vectorize ~columnar e)
+      fst (Optimize.expr ~share_scans:scan_cache e)
     else e
   in
-  let cenv = { slots = []; next = ref 0; resolve; vectorize; columnar } in
+  let cenv = { slots = []; next = ref 0; resolve } in
   let cenv, externals =
     List.fold_left
       (fun (ce, acc) v ->
@@ -2081,10 +1380,10 @@ let compile_expr ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
   let code = compile_expr_c cenv e in
   { code; size = !(cenv.next); externals = List.rev externals }
 
-let compile ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?vars
+(* [vectorize] and [columnar] are accepted and ignored (see compile.mli). *)
+let compile ?optimize ?scan_cache ?vectorize:_ ?columnar:_ ?resolve ?vars
     (q : X.query) =
-  compile_expr ?optimize ?scan_cache ?vectorize ?columnar ?resolve ?vars
-    q.X.body
+  compile_expr ?optimize ?scan_cache ?resolve ?vars q.X.body
 
 let run ?(bindings = []) t =
   let rt = Array.make (max t.size 1) [] in

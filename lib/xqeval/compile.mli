@@ -1,25 +1,19 @@
 (** A compiling evaluator: lowers an XQuery AST once into OCaml
     closures over slot-based environments, so repeated executions skip
     AST dispatch and name lookups — the counterpart of the DSP
-    server's query compilation step (the interpreter {!Eval} is the
-    reference semantics; the test suite checks both agree).
+    server's query compilation step.  This is the one production
+    engine; the interpreter {!Eval} ([~vectorize:false]) is the
+    reference semantics it is differentially tested against.
 
-    With [vectorize] (the default) FLWOR pipelines are lowered to a
-    push-based batch engine: clauses exchange fixed-capacity batches
-    ({!Batch.size} rows, selection-vector filtering), hoisting
-    per-clause setup out of the inner loop.  [~vectorize:false]
-    selects the tuple-at-a-time lowering, which the differential test
-    suite uses as the oracle.
-
-    With [columnar] (the default, gated on [vectorize]) batches use a
-    struct-of-arrays layout — one value vector per bound variable
-    ({!Batch.columns}) — with required-column pruning (expanders and
-    barriers copy only the columns the rest of the pipeline reads) and
-    vectorized aggregation kernels (group-by clauses whose post-group
-    reads are all translator aggregate shapes never materialize the
-    partition; see {!Optimize.group_kernels} and {!Kernels}).
-    [~columnar:false] selects the row-snapshot batch layout, the
-    differential oracle for the columnar engine.
+    FLWOR pipelines are lowered to a push-based columnar batch engine:
+    clauses exchange fixed-capacity batches ({!Batch.size} rows) in a
+    struct-of-arrays layout — one value vector per bound variable plus
+    a selection vector ({!Batch.columns}) — with required-column
+    pruning (expanders and barriers copy only the columns the rest of
+    the pipeline reads) and vectorized aggregation kernels (group-by
+    clauses whose post-group reads are all translator aggregate shapes
+    never materialize the partition; see {!Optimize.group_kernels} and
+    {!Kernels}).
 
     Variable scoping is resolved at compile time; referencing an
     undefined variable (including bindings dropped by the group-by
@@ -50,10 +44,9 @@ val compile :
     run time.  With [optimize] (the default) the {!Optimize} pass runs
     before lowering, enabling predicate pushdown and hash equi-joins;
     [scan_cache] (default [true]) additionally enables the optimizer's
-    scan-sharing hoist for repeated data-service calls; [vectorize]
-    (default [true]) lowers FLWOR pipelines to the batch engine;
-    [columnar] (default {!Batch.columnar}, meaningful only with
-    [vectorize]) selects the struct-of-arrays batch layout.
+    scan-sharing hoist for repeated data-service calls.  [vectorize]
+    and [columnar] are accepted and ignored; they are kept only for
+    the benchmark's trace pipeline, which still passes them.
     @raise Compile_error on unknown functions or variables, and on a
     [where] clause referencing a variable bound only by a later clause
     of the same FLWOR. *)
@@ -61,8 +54,6 @@ val compile :
 val compile_expr :
   ?optimize:bool ->
   ?scan_cache:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   ?resolve:resolver ->
   ?vars:string list ->
   Aqua_xquery.Ast.expr ->

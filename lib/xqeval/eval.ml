@@ -419,35 +419,35 @@ let check_scoping ctx e =
   | Some v -> fail "where clause references $%s before it is bound" v
   | None -> ()
 
-let eval ?(optimize = true) ?(scan_cache = true) ?(vectorize = true)
-    ?(columnar = Batch.columnar ()) ctx (e : X.expr) =
+let eval ?(optimize = true) ?(scan_cache = true) ?(vectorize = true) ctx
+    (e : X.expr) =
   check_scoping ctx e;
   let interpret () =
     let e =
-      if optimize then
-        fst (Optimize.expr ~share_scans:scan_cache ~vectorize:false e)
-      else e
+      if optimize then fst (Optimize.expr ~share_scans:scan_cache e) else e
     in
     eval ctx e
   in
-  (* The optimized path executes through the compiled batch engine;
-     the tuple-at-a-time interpreter above remains the differential
-     oracle ([~vectorize:false]) and the fallback for any expression
-     the compiler rejects.  Only compile-time rejection falls back:
-     dynamic errors from the compiled code propagate, as they carry
-     the same SQLSTATE mapping either way. *)
+  (* The optimized path executes through the compiled engine; the
+     tree-walking interpreter above is the differential oracle
+     ([~vectorize:false] or [~optimize:false]) and the fallback for any
+     expression the compiler rejects.  Only compile-time rejection
+     falls back, and it is counted: dynamic errors from the compiled
+     code propagate, as they carry the same SQLSTATE mapping either
+     way. *)
   if optimize && vectorize then begin
     let bindings = Env.bindings ctx.vars in
     match
-      Compile.compile_expr ~optimize ~scan_cache ~vectorize:true ~columnar
-        ~resolve:ctx.resolve
+      Compile.compile_expr ~optimize ~scan_cache ~resolve:ctx.resolve
         ~vars:(List.map fst bindings)
         e
     with
     | compiled -> Compile.run ~bindings compiled
-    | exception Compile.Compile_error _ -> interpret ()
+    | exception Compile.Compile_error _ ->
+      Telemetry.incr Telemetry.c_interpret_fallbacks;
+      interpret ()
   end
   else interpret ()
 
-let eval_query ?optimize ?scan_cache ?vectorize ?columnar ctx (q : X.query) =
-  eval ?optimize ?scan_cache ?vectorize ?columnar ctx q.body
+let eval_query ?optimize ?scan_cache ?vectorize ctx (q : X.query) =
+  eval ?optimize ?scan_cache ?vectorize ctx q.body

@@ -26,7 +26,6 @@ val eval :
   ?optimize:bool ->
   ?scan_cache:bool ->
   ?vectorize:bool ->
-  ?columnar:bool ->
   context ->
   Aqua_xquery.Ast.expr ->
   Aqua_xml.Item.sequence
@@ -37,19 +36,19 @@ val eval :
     oracle.  [scan_cache] (default [true]) additionally enables the
     optimizer's scan-sharing hoist, which materializes repeated
     data-service calls once per plan; [~scan_cache:false] keeps every
-    call in place (the no-materialization oracle).  [vectorize]
-    (default [true]) executes the optimized plan through the compiled
-    batch engine ({!Compile} with {!Batch.size}-row batches);
-    [~vectorize:false] keeps the tuple-at-a-time interpreter — the
-    row-at-a-time oracle the batch engine is differentially tested
-    against.  [columnar] (default {!Batch.columnar}, meaningful only
-    with [vectorize]) selects the struct-of-arrays batch layout with
-    required-column pruning and aggregation kernels;
-    [~columnar:false] keeps the row-snapshot batch layout, the
-    columnar engine's differential oracle.  Either way a [where]
-    clause referencing a variable bound
-    only by a later clause of the same FLWOR raises a clear error
-    naming the variable.
+    call in place (the no-materialization oracle).
+
+    [vectorize] (default [true]) executes the optimized plan through
+    the compiled engine ({!Compile}: columnar {!Batch.size}-row
+    batches); [~vectorize:false] keeps this module's tree-walking
+    interpreter, the oracle the compiled engine is differentially
+    tested against.  An expression the compiler rejects is answered by
+    the interpreter instead, and each such fallback increments the
+    [xqeval.interpret_fallbacks] telemetry counter.
+
+    Either way a [where] clause referencing a variable bound only by a
+    later clause of the same FLWOR raises a clear error naming the
+    variable.
     @raise Error.Dynamic_error on dynamic errors (unknown variable or
     function, type mismatches, cast failures). *)
 
@@ -57,7 +56,6 @@ val eval_query :
   ?optimize:bool ->
   ?scan_cache:bool ->
   ?vectorize:bool ->
-  ?columnar:bool ->
   context ->
   Aqua_xquery.Ast.query ->
   Aqua_xml.Item.sequence

@@ -23,14 +23,7 @@ let string_arg name seq =
   | None -> ""
   | Some a -> Atomic.to_lexical a
 
-let numeric_of_atomic name a =
-  match a with
-  | Atomic.Integer _ | Atomic.Decimal _ | Atomic.Double _ -> Atomic.cast_double a
-  | Atomic.Untyped s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f -> f
-    | None -> fail "%s: cannot treat %S as a number" name s)
-  | _ -> fail "%s: %s is not numeric" name (Atomic.type_name a)
+let numeric_of_atomic = Kernels.numeric_of_atomic
 
 (* ---------------------------------------------------------------- *)
 (* Accessors and cardinality                                        *)
@@ -50,10 +43,6 @@ let fn_empty args =
 let fn_exists args =
   arity "fn:exists" 1 args;
   Item.of_bool (List.hd args <> [])
-
-let fn_count args =
-  arity "fn:count" 1 args;
-  Item.of_int (List.length (List.hd args))
 
 let fn_zero_or_one args =
   arity "fn:zero-or-one" 1 args;
@@ -89,58 +78,11 @@ let fn_false args =
 (* ---------------------------------------------------------------- *)
 (* Aggregates                                                       *)
 
-let sum_atomics name atomics =
-  (* integer-preserving when every operand is an integer *)
-  let all_int =
-    List.for_all (function Atomic.Integer _ -> true | _ -> false) atomics
-  in
-  if all_int then
-    Atomic.Integer
-      (List.fold_left
-         (fun acc a -> match a with Atomic.Integer i -> acc + i | _ -> acc)
-         0 atomics)
-  else
-    Atomic.Double
-      (List.fold_left (fun acc a -> acc +. numeric_of_atomic name a) 0.0 atomics)
-
-let fn_sum args =
-  arity "fn:sum" 1 args;
-  match atomize (List.hd args) with
-  | [] -> Item.of_int 0
-  | atomics -> [ Item.atomic (sum_atomics "fn:sum" atomics) ]
-
-let fn_avg args =
-  arity "fn:avg" 1 args;
-  match atomize (List.hd args) with
-  | [] -> []
-  | atomics ->
-    let n = List.length atomics in
-    let total =
-      List.fold_left (fun acc a -> acc +. numeric_of_atomic "fn:avg" a) 0.0
-        atomics
-    in
-    Item.of_double (total /. float_of_int n)
-
-let extremum name keep args =
+(* fn:count / fn:sum / fn:avg / fn:min / fn:max: one kernel fold, the
+   same code the columnar GROUP BY path runs per group. *)
+let aggregate name kind args =
   arity name 1 args;
-  (* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max *)
-  let untype = function
-    | Atomic.Untyped s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> Atomic.Double f
-      | None -> Atomic.String s)
-    | a -> a
-  in
-  match List.map untype (atomize (List.hd args)) with
-  | [] -> []
-  | first :: rest ->
-    [ Item.atomic
-        (List.fold_left
-           (fun best a -> if keep (Atomic.compare_values a best) then a else best)
-           first rest) ]
-
-let fn_min = extremum "fn:min" (fun c -> c < 0)
-let fn_max = extremum "fn:max" (fun c -> c > 0)
+  Kernels.fold kind (List.hd args)
 
 let fn_distinct_values args =
   arity "fn:distinct-values" 1 args;
@@ -491,17 +433,17 @@ let () =
   register "fn:string" fn_string;
   register "fn:empty" fn_empty;
   register "fn:exists" fn_exists;
-  register "fn:count" fn_count;
+  register "fn:count" (aggregate "fn:count" Kernels.K_count);
   register "fn:zero-or-one" fn_zero_or_one;
   register "fn:exactly-one" fn_exactly_one;
   register "fn:boolean" fn_boolean;
   register "fn:not" fn_not;
   register "fn:true" fn_true;
   register "fn:false" fn_false;
-  register "fn:sum" fn_sum;
-  register "fn:avg" fn_avg;
-  register "fn:min" fn_min;
-  register "fn:max" fn_max;
+  register "fn:sum" (aggregate "fn:sum" Kernels.K_sum);
+  register "fn:avg" (aggregate "fn:avg" Kernels.K_avg);
+  register "fn:min" (aggregate "fn:min" Kernels.K_min);
+  register "fn:max" (aggregate "fn:max" Kernels.K_max);
   register "fn:distinct-values" fn_distinct_values;
   register "fn:concat" fn_concat;
   register "fn:string-join" fn_string_join;

@@ -1,15 +1,14 @@
-(* Vectorized aggregation kernels for the columnar GROUP BY path.
+(* Aggregation kernels: the one definition of the XQuery aggregates.
 
    Each kernel folds one aggregate incrementally, one grouped tuple's
-   column slice at a time, instead of materializing the whole group
-   partition and re-walking it per aggregate call.  The folds are
-   arranged to be observationally identical to the corresponding
-   functions.ml implementations (fn:count / fn:sum / fn:avg / fn:min /
-   fn:max / fn:empty / fn:exists) over the concatenated partition:
-   same numeric promotion (integer-preserving sum), same fold order,
-   and the same dynamic errors raised in the same order — a cast error
-   discovered mid-stream is recorded and re-raised at [finish], exactly
-   when the one-shot fold would have raised it.
+   column slice at a time.  The columnar GROUP BY path updates a state
+   per (group, aggregate) instead of materializing the partition, and
+   functions.ml's one-shot fn:count / fn:sum / fn:avg / fn:min /
+   fn:max are a single [fold] over their argument — so both engines
+   share the numeric promotion (integer-preserving sum), fold order and
+   dynamic errors.  A cast error discovered mid-stream is recorded and
+   re-raised at [finish], so the first error in fold order wins however
+   the input is sliced.
 
    [K_sum_null] is the translated-SQL shape
    [if (fn:empty(c)) then () else fn:sum(c)] fused into one kernel:
@@ -63,8 +62,19 @@ let create kind =
     error = None;
   }
 
-(* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max
-   (same rule as functions.ml's [extremum]). *)
+(* The numeric promotion of fn:sum/fn:avg: numerics cast to double,
+   untyped values parsed, anything else a dynamic error attributed to
+   [name]. *)
+let numeric_of_atomic name a =
+  match a with
+  | Atomic.Integer _ | Atomic.Decimal _ | Atomic.Double _ -> Atomic.cast_double a
+  | Atomic.Untyped s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some f -> f
+    | None -> Error.fail "%s: cannot treat %S as a number" name s)
+  | _ -> Error.fail "%s: %s is not numeric" name (Atomic.type_name a)
+
+(* F&O: untypedAtomic values are cast to xs:double in fn:min/fn:max. *)
 let untype = function
   | Atomic.Untyped s -> (
     match float_of_string_opt (String.trim s) with
@@ -76,7 +86,7 @@ let numeric_update fname st a =
   st.atoms <- st.atoms + 1;
   (match a with Atomic.Integer i -> st.int_sum <- st.int_sum + i
   | _ -> st.all_int <- false);
-  match Functions.numeric_of_atomic fname a with
+  match numeric_of_atomic fname a with
   | f -> st.dbl_sum <- st.dbl_sum +. f
   | exception e -> if st.error = None then st.error <- Some e
 
@@ -131,3 +141,8 @@ let finish st : Item.sequence =
     | Some e -> raise e
     | None -> (
       match st.best with None -> [] | Some a -> [ Item.atomic a ]))
+
+let fold kind seq =
+  let st = create kind in
+  update st seq;
+  finish st

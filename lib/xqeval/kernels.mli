@@ -1,11 +1,12 @@
-(** Vectorized aggregation kernels for the columnar GROUP BY path.
+(** Aggregation kernels: the one definition of the XQuery aggregates.
 
     A kernel folds one aggregate incrementally over a grouped column,
-    one tuple's slice at a time, with exactly the semantics of the
-    one-shot {!Functions} implementations over the concatenated
-    partition: same numeric promotion, same fold order, and the same
-    dynamic errors (deferred and re-raised at {!finish} iff the
-    one-shot fold would have reached them). *)
+    one tuple's slice at a time; the columnar GROUP BY path keeps one
+    state per (group, aggregate), and the one-shot {!Functions}
+    aggregates are a single {!fold}.  Slicing never changes the result:
+    dynamic errors are deferred and re-raised at {!finish} iff the
+    one-shot fold over the concatenated input would have reached
+    them. *)
 
 type kind =
   | K_count  (** [fn:count] — counts items, no atomization *)
@@ -33,3 +34,12 @@ val update : state -> Aqua_xml.Item.sequence -> unit
 
 val finish : state -> Aqua_xml.Item.sequence
 (** The aggregate's result; re-raises any deferred dynamic error. *)
+
+val fold : kind -> Aqua_xml.Item.sequence -> Aqua_xml.Item.sequence
+(** [finish] of a fresh state updated once with the whole input: the
+    one-shot aggregate ([fn:sum] etc.). *)
+
+val numeric_of_atomic : string -> Aqua_xml.Atomic.t -> float
+(** The numeric promotion used by [fn:sum]/[fn:avg]: numerics cast to
+    double, untyped values parsed, anything else raises
+    {!Error.Dynamic_error} attributed to [name]. *)

@@ -944,7 +944,7 @@ let columnar_shape (e : X.expr) : string list =
   walk e;
   List.rev !out
 
-let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
+let expr ?(share_scans = true) e =
   let module T = Aqua_core.Telemetry in
   let acc = { pushed = 0; joins = 0; shared = 0; notes = [] } in
   let e, encode = fuse_text e in
@@ -954,20 +954,17 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
   | None -> ());
   let e = rewrite acc e in
   let e = if share_scans then share_scans_pass acc e else e in
-  if vectorize then
-    acc.notes <-
-      Printf.sprintf
-        "flwor pipelines execute as %d-row batches (selection-vector \
-         filtering)"
-        (Batch.size ())
-      :: acc.notes;
-  if vectorize && columnar then begin
-    acc.notes <-
-      "columnar layout: one value vector per bound variable \
-       (required-column pruning active)"
-      :: acc.notes;
-    List.iter (fun n -> acc.notes <- n :: acc.notes) (columnar_shape e)
-  end;
+  acc.notes <-
+    Printf.sprintf
+      "flwor pipelines execute as %d-row batches (selection-vector \
+       filtering)"
+      (Batch.size ())
+    :: acc.notes;
+  acc.notes <-
+    "columnar layout: one value vector per bound variable \
+     (required-column pruning active)"
+    :: acc.notes;
+  List.iter (fun n -> acc.notes <- n :: acc.notes) (columnar_shape e);
   T.add T.c_pushdown_rewrites acc.pushed;
   T.add T.c_hash_join_rewrites acc.joins;
   T.add T.c_shared_scan_rewrites acc.shared;
@@ -980,8 +977,9 @@ let expr ?(share_scans = true) ?(vectorize = true) ?(columnar = true) e =
       notes = List.rev acc.notes;
     } )
 
-let query ?share_scans ?vectorize ?columnar (q : X.query) =
-  let body, report = expr ?share_scans ?vectorize ?columnar q.X.body in
+(* [vectorize] and [columnar] are accepted and ignored (see optimize.mli). *)
+let query ?share_scans ?vectorize:_ ?columnar:_ (q : X.query) =
+  let body, report = expr ?share_scans q.X.body in
   ({ q with X.body }, report)
 
 (* ------------------------------------------------------------------ *)

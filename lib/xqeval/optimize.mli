@@ -53,17 +53,13 @@ val scan_var : string -> string
 
 val expr :
   ?share_scans:bool ->
-  ?vectorize:bool ->
-  ?columnar:bool ->
   Aqua_xquery.Ast.expr ->
   Aqua_xquery.Ast.expr * report
 (** Optimize an expression bottom-up.  [share_scans] (default [true])
-    controls the scan-sharing hoist.  [vectorize] and [columnar]
-    (default [true]) do not change the plan — execution strategy is
-    chosen at compile time — but record the batch-pipeline shape
-    (current {!Batch.size}, per-operator column materialization and
-    kernel selection) in the report notes so EXPLAIN-style consumers
-    describe how the plan will run. *)
+    controls the scan-sharing hoist.  The report notes also record how
+    {!Compile} will run the plan (current {!Batch.size}, per-operator
+    column materialization and kernel selection), so EXPLAIN-style
+    consumers can describe it. *)
 
 val query :
   ?share_scans:bool ->
@@ -71,7 +67,9 @@ val query :
   ?columnar:bool ->
   Aqua_xquery.Ast.query ->
   Aqua_xquery.Ast.query * report
-(** Optimize a query body (prolog is untouched). *)
+(** Optimize a query body (prolog is untouched).  [vectorize] and
+    [columnar] are accepted and ignored; they are kept only for the
+    benchmark's trace pipeline, which still passes them. *)
 
 val fused_rows : Aqua_xquery.Ast.expr -> bool
 (** Whether an expression is a fused row tree: sequences, conditionals

@@ -1,13 +1,11 @@
-(* The columnar (struct-of-arrays) batch engine against its two
-   oracles (DESIGN.md section 16): the row-snapshot batch engine
-   ([~columnar:false], PR 6) and the tuple-at-a-time interpreter
-   ([~vectorize:false]).  The columnar layout must be observationally
-   identical to both at every edge batch size — including NULL-heavy
-   aggregation over LEFT OUTER JOIN, empty groups and non-kernelizable
-   group shapes — while governors still trip at batch boundaries,
-   batch faults still degrade gracefully, the columnar counters stay
-   silent with the layout off, and required-column pruning is visible
-   in the optimizer's plan notes. *)
+(* The compiled columnar engine against its oracle (DESIGN.md section
+   16): the tree-walking interpreter ([~vectorize:false]).  The
+   compiled engine must be observationally identical to it at every
+   edge batch size — including NULL-heavy aggregation over LEFT OUTER
+   JOIN, empty groups and non-kernelizable group shapes — while
+   governors still trip at batch boundaries, batch faults still
+   degrade gracefully, every batch is columnar, and required-column
+   pruning is visible in the optimizer's plan notes. *)
 
 module Connection = Aqua_driver.Connection
 module Result_set = Aqua_driver.Result_set
@@ -69,25 +67,18 @@ let agree ~what sql col oracle =
     Alcotest.failf "%s: columnar raised (%s) but oracle succeeded on %s" what e
       sql
 
-(* Three-way: the columnar engine against the row-snapshot batch
-   oracle AND the tuple-at-a-time interpreter. *)
-let agree3 ~what sql col batched row =
-  agree ~what:(what ^ " (vs batched)") sql col batched;
-  agree ~what:(what ^ " (vs row)") sql col row
-
 (* --------------------------------------------------------------- *)
 (* Fixed batteries at every edge batch size.                        *)
 
 let battery_at_size size () =
   let app = Helpers.demo_app () in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~vectorize:false app in
   with_batch_size size @@ fun () ->
   List.iter
     (fun sql ->
-      agree3 ~what:(Printf.sprintf "battery@%d" size) sql (run col sql)
-        (run batched sql) (run row sql))
+      agree ~what:(Printf.sprintf "battery@%d" size) sql (run col sql)
+        (run interp sql))
     Test_differential.battery
 
 (* Aggregation shapes the kernel path must cover: every kernel kind,
@@ -114,20 +105,19 @@ let agg_queries =
 let aggregation_battery () =
   let app = Helpers.demo_app () in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~vectorize:false app in
   List.iter
     (fun size ->
       with_batch_size size @@ fun () ->
       List.iter
         (fun sql ->
-          agree3 ~what:(Printf.sprintf "agg@%d" size) sql (run col sql)
-            (run batched sql) (run row sql))
+          agree ~what:(Printf.sprintf "agg@%d" size) sql (run col sql)
+            (run interp sql))
         agg_queries)
     edge_sizes
 
 (* --------------------------------------------------------------- *)
-(* Randomized differential sweep, columnar vs both oracles.          *)
+(* Randomized differential sweep, columnar vs the interpreter.       *)
 
 let bench_app = lazy (
   Aqua_workload.Datagen.application
@@ -138,8 +128,7 @@ let prop_columnar_differential =
   let app = Lazy.force bench_app in
   let tables = Aqua_dsp.Metadata.list_tables app in
   let col = Connection.connect app in
-  let batched = Connection.connect ~columnar:false app in
-  let row = Connection.connect ~vectorize:false app in
+  let interp = Connection.connect ~vectorize:false app in
   QCheck.Test.make ~name:"random statements agree at every batch size"
     ~count:60
     QCheck.(
@@ -148,12 +137,12 @@ let prop_columnar_differential =
         ~print:Aqua_sql.Pretty.statement_to_string)
     (fun stmt ->
       let sql = Aqua_sql.Pretty.statement_to_string stmt in
-      let expected_row = run row sql in
+      let expected = run interp sql in
       List.iter
         (fun size ->
           with_batch_size size @@ fun () ->
-          agree3 ~what:(Printf.sprintf "qcheck@%d" size) sql (run col sql)
-            (run batched sql) expected_row)
+          agree ~what:(Printf.sprintf "qcheck@%d" size) sql (run col sql)
+            expected)
         edge_sizes;
       true)
 
@@ -221,30 +210,16 @@ let midstream_failpoint_falls_back () =
     (Telemetry.value Telemetry.c_faults_injected >= 1)
 
 (* --------------------------------------------------------------- *)
-(* Counter hygiene, both directions: ~columnar:false moves the
-   xqeval.batch.* counters but leaves xqeval.columnar.* untouched;
-   the columnar default moves both families.                         *)
+(* Counter hygiene: on a default run every batch is columnar — the
+   xqeval.columnar.* family moves in lockstep with xqeval.batch.*.    *)
 
-let columnar_counters_respect_toggle () =
+let every_batch_is_columnar () =
   let app = Helpers.demo_app () in
   let sql =
     "SELECT P.CUSTID, SUM(P.PAYMENT) S FROM PAYMENTS P \
      WHERE P.PAYMENT > 50 GROUP BY P.CUSTID"
   in
   with_telemetry @@ fun () ->
-  let batched = Connection.connect ~columnar:false app in
-  ignore (Connection.execute_query batched sql);
-  let m = Telemetry.snapshot () in
-  check_bool "row-batch engine still pushes batches" true
-    (m.Telemetry.batch_batches > 0);
-  check_int "no columnar batches with the layout off" 0
-    m.Telemetry.columnar_batches;
-  check_int "no columnar rows with the layout off" 0 m.Telemetry.columnar_rows;
-  check_int "no pruning with the layout off" 0
-    m.Telemetry.columnar_pruned_columns;
-  check_int "no kernel updates with the layout off" 0
-    m.Telemetry.columnar_kernel_updates;
-  Telemetry.reset ();
   let col = Connection.connect app in
   ignore (Connection.execute_query col sql);
   let m = Telemetry.snapshot () in
@@ -263,22 +238,20 @@ let columnar_counters_respect_toggle () =
 (* --------------------------------------------------------------- *)
 (* Pruning goldens: the optimizer report names the columnar pipeline
    shape — kernels selected per group clause, columns carried vs
-   pruned per expander — and drops the lines with the layout off.    *)
+   pruned per expander.                                              *)
 
 let pruning_notes_golden () =
   let app = Helpers.demo_app () in
-  let notes sql ~columnar =
+  let notes sql =
     let t = Helpers.translate app sql in
-    let _, report =
-      Optimize.query ~columnar t.Aqua_translator.Translator.xquery
-    in
+    let _, report = Optimize.query t.Aqua_translator.Translator.xquery in
     String.concat "\n" report.Optimize.notes
   in
   let agg =
     "SELECT P.CUSTID, COUNT(*) N, SUM(P.PAYMENT) S FROM PAYMENTS P \
      GROUP BY P.CUSTID"
   in
-  let s = notes agg ~columnar:true in
+  let s = notes agg in
   Helpers.assert_contains ~needle:"columnar layout: one value vector" s;
   Helpers.assert_contains ~needle:"kernels [" s;
   Helpers.assert_contains ~needle:"count" s;
@@ -288,18 +261,9 @@ let pruning_notes_golden () =
     "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C, PAYMENTS P \
      WHERE C.CUSTOMERID = P.CUSTID"
   in
-  let s = notes join ~columnar:true in
+  let s = notes join in
   Helpers.assert_contains ~needle:"columnar:" s;
-  Helpers.assert_contains ~needle:"(pruned" s;
-  (* the layout off drops every columnar note *)
-  let t = Helpers.translate app agg in
-  let _, report =
-    Optimize.query ~columnar:false t.Aqua_translator.Translator.xquery
-  in
-  check_bool "no columnar notes with the layout off" true
-    (List.for_all
-       (fun n -> not (Helpers.contains ~needle:"columnar" n))
-       report.Optimize.notes)
+  Helpers.assert_contains ~needle:"(pruned" s
 
 (* Kernel recognition bails to the materializing path when the
    partition escapes the aggregate shapes — and the results agree
@@ -454,8 +418,7 @@ let suite =
         governors_under_columnar;
       Helpers.case "mid-stream batch fault falls back"
         midstream_failpoint_falls_back;
-      Helpers.case "columnar counters respect the toggle"
-        columnar_counters_respect_toggle;
+      Helpers.case "every batch is columnar" every_batch_is_columnar;
       Helpers.case "pruning and kernel notes in analyze output"
         pruning_notes_golden;
       Helpers.case "non-kernelizable groups agree"

@@ -9,6 +9,11 @@ module Atomic = Aqua_xml.Atomic
 module Server = Aqua_dsp.Server
 module Translator = Aqua_translator.Translator
 module Semantic = Aqua_translator.Semantic
+module Connection = Aqua_driver.Connection
+module Telemetry = Aqua_core.Telemetry
+module Datagen = Aqua_workload.Datagen
+module Querygen = Aqua_workload.Querygen
+module Workload = Perfbench.Workload
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -93,7 +98,7 @@ let external_bindings () =
   | _ -> Alcotest.fail "unbound external ran"
 
 (* every translated battery query executes identically through
-   Server.execute (interpreter) and Server.prepare (compiler) *)
+   Server.execute (ad hoc) and Server.prepare (a reusable plan) *)
 let server_agreement () =
   let app = Helpers.demo_app () in
   let env = Semantic.env_of_application app in
@@ -167,6 +172,72 @@ let prop_agreement =
       in
       same_sequences interpreted compiled)
 
+(* [f ()] with telemetry on, and the interpreter fallbacks it caused. *)
+let fallbacks_during f =
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  let v = f () in
+  (v, Telemetry.value Telemetry.c_interpret_fallbacks)
+
+(* Nothing the translator emits needs the interpreter: the fallback
+   counter stays 0 over the differential batteries (the fixed one and
+   the generated statements, both profiles), the paper's examples and
+   every perfbench workload statement. *)
+let no_interpret_fallbacks () =
+  let check_none what app sqls =
+    let conn = Connection.connect app in
+    let (), n =
+      fallbacks_during (fun () ->
+          List.iter (fun sql -> ignore (Connection.execute_query conn sql)) sqls)
+    in
+    check_int (what ^ ": interpreter fallbacks") 0 n
+  in
+  check_none "differential battery" (Helpers.demo_app ())
+    Test_differential.battery;
+  let app = Lazy.force Test_differential.random_app in
+  let tables = Aqua_dsp.Metadata.list_tables app in
+  let rand = Random.State.make [| 42 |] in
+  let generated profile n =
+    List.init n (fun _ ->
+        Aqua_sql.Pretty.statement_to_string
+          (Querygen.generate ?profile rand tables))
+  in
+  check_none "generated statements" app
+    (generated None 250 @ generated (Some Querygen.reporting_profile) 100);
+  check_none "paper examples" (Test_golden_paper.paper_app ())
+    Test_golden_paper.statements;
+  let small =
+    Datagen.application
+      { Datagen.customers = 30; orders = 60; lines_per_order = 2;
+        payments = 60 }
+  in
+  List.iter
+    (fun (w : Workload.t) ->
+      check_none ("perfbench " ^ w.Workload.name) small
+        (Workload.warmup w ~seed:42))
+    Workload.all
+
+(* The positive case: an expression the compiler rejects (an undefined
+   variable on a branch never taken) is answered by the interpreter,
+   counted once, and visible in the Prometheus exposition. *)
+let compile_rejection_is_counted () =
+  let e =
+    Aqua_xquery.Parser.parse_expr "if (fn:true()) then 1 else $undefined"
+  in
+  (match Compile.compile_expr e with
+  | exception Compile.Compile_error _ -> ()
+  | _ -> Alcotest.fail "the compiler accepted an undefined variable");
+  let result, n = fallbacks_during (fun () -> Eval.eval (Eval.context ()) e) in
+  check_int "one interpreter fallback" 1 n;
+  check_bool "the interpreter's answer" true
+    (same_sequences result (Item.of_int 1));
+  let prom = Aqua_obs.Expose.prometheus () in
+  Helpers.assert_contains ~needle:"aqua_xqeval_interpret_fallbacks_total 1"
+    prom;
+  Alcotest.(check (list string)) "exposition lints clean" []
+    (Aqua_obs.Expose.lint prom)
+
 let suite =
   ( "compile",
     [ Helpers.case "expression agreement" expression_agreement;
@@ -175,4 +246,8 @@ let suite =
       Helpers.case "external bindings" external_bindings;
       Helpers.case "server agreement" server_agreement;
       Helpers.case "prepared parameters" prepared_parameters_via_server;
-      Helpers.qcheck prop_agreement ] )
+      Helpers.qcheck prop_agreement;
+      Helpers.case "no statement falls back to the interpreter"
+        no_interpret_fallbacks;
+      Helpers.case "a compile rejection is counted"
+        compile_rejection_is_counted ] )

@@ -100,6 +100,43 @@ let string_parameters () =
   let rows = Result_set.to_rowset (Connection.Prepared.execute_query stmt) in
   check_int "one sue" 1 (List.length rows.Aqua_relational.Rowset.rows)
 
+(* Prepared statements on an interpreter connection run the same
+   queries through Eval instead of a compiled plan: every statement,
+   transport and binding returns the rows the compiled engine does. *)
+let prepared_on_interpreter () =
+  let app = Helpers.demo_app () in
+  let compiled = Connection.connect app in
+  let interp = Connection.connect ~vectorize:false app in
+  let rows c sql bind =
+    let stmt = Connection.Prepared.prepare c sql in
+    bind stmt;
+    Aqua_relational.Rowset.to_string
+      (Result_set.to_rowset (Connection.Prepared.execute_query stmt))
+  in
+  List.iter
+    (fun transport ->
+      Connection.set_transport compiled transport;
+      Connection.set_transport interp transport;
+      List.iter
+        (fun (sql, bind) ->
+          check_str sql (rows compiled sql bind) (rows interp sql bind))
+        [ ( "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ? OR TIER = ?",
+            fun s ->
+              Connection.Prepared.set_int s 1 2;
+              Connection.Prepared.set_int s 2 3 );
+          ( "SELECT CUSTOMERID FROM CUSTOMERS WHERE CUSTOMERNAME = ?",
+            fun s -> Connection.Prepared.set_string s 1 "Sue" );
+          ( "SELECT CITY, COUNT(*) N FROM CUSTOMERS WHERE TIER >= ? GROUP BY \
+             CITY ORDER BY CITY",
+            fun s -> Connection.Prepared.set_int s 1 1 );
+          ( "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C LEFT OUTER \
+             JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID WHERE C.CUSTOMERID \
+             <> ? ORDER BY 1, 2",
+            fun s -> Connection.Prepared.set_int s 1 1 );
+          ( "SELECT CUSTOMERNAME FROM CUSTOMERS WHERE CUSTOMERID = ?",
+            fun s -> Connection.Prepared.set_null s 1 ) ])
+    [ Connection.Text; Connection.Xml ]
+
 let database_metadata () =
   let c = conn () in
   check_str "catalog" "DemoApp" (Connection.Database_metadata.catalog c);
@@ -178,6 +215,8 @@ let suite =
       Helpers.case "transport switching" switching_transport;
       Helpers.case "prepared statements" prepared_statements;
       Helpers.case "string parameters" string_parameters;
+      Helpers.case "prepared statements on the interpreter"
+        prepared_on_interpreter;
       Helpers.case "database metadata" database_metadata;
       Helpers.case "metadata cache" metadata_cache_counts;
       Helpers.case "qualified table names" qualified_table_names;
