@@ -1905,6 +1905,141 @@ let p15 () =
   flush stdout
 
 (* ------------------------------------------------------------------ *)
+(* P17: the compiled-plan cache.  Microseconds per statement on three
+   paths through one demo catalog:
+   - cold ad hoc: a connection without a translation cache, so every
+     execution translates, optimizes and compiles;
+   - warm ad hoc: the same text on a connection whose translation-LRU
+     entry holds the compiled plan;
+   - prepared: [Prepared.execute_query] over that same entry.
+   The three paths take turns inside every repeat (cycling through all
+   six orders), each timing a block of executions after an untimed
+   full collection; the JSON records the median and range over
+   repeats, stamped with the core count.  The warm/prepared ratio is
+   the median of the per-repeat ratios: both blocks of a repeat run
+   within milliseconds of each other, so a host slowdown that outlasts
+   a repeat moves both alike.  validate.exe rejects a warm/prepared
+   ratio above 1.15. *)
+
+let p17_json_path = "BENCH_P17.json"
+
+let p17_queries =
+  [ ("select-star", "SELECT * FROM CUSTOMERS");
+    ( "join-group-by",
+      "SELECT C.CITY, COUNT(*) N, SUM(P.PAYMENT) T FROM CUSTOMERS C INNER \
+       JOIN PAYMENTS P ON C.CUSTOMERID = P.CUSTID GROUP BY C.CITY" );
+    ( "outer-join-order-by",
+      "SELECT C.CUSTOMERNAME, P.PAYMENT FROM CUSTOMERS C LEFT OUTER JOIN \
+       PAYMENTS P ON C.CUSTOMERID = P.CUSTID ORDER BY C.CUSTOMERNAME" ) ]
+
+let p17 () =
+  print_endline
+    "\n== P17: compiled-plan cache (cold ad hoc, warm ad hoc, prepared) ==";
+  let app = Aqua_workload.Demo.build () in
+  let cold = Connection.connect ~translation_cache:false app in
+  let warm = Connection.connect app in
+  let repeats = if !smoke then 18 else 36 in
+  let block = if !smoke then 100 else 400 in
+  let rows rs = Aqua_relational.Rowset.to_string (Result_set.to_rowset rs) in
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  let median a = (sorted a).(Array.length a / 2) in
+  let summary a =
+    let a = sorted a in
+    (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
+  in
+  let measured =
+    List.map
+      (fun (name, sql) ->
+        let stmt = Connection.Prepared.prepare warm sql in
+        let paths =
+          [| (fun () -> Connection.execute_query cold sql);
+             (fun () -> Connection.execute_query warm sql);
+             (fun () -> Connection.Prepared.execute_query stmt) |]
+        in
+        (* sanity before timing: one reply from every path, and the
+           warm ad-hoc run is served by the cached plan *)
+        let expected = rows (paths.(0) ()) in
+        Telemetry.reset ();
+        Telemetry.set_enabled true;
+        let replies = Array.map (fun f -> rows (f ())) paths in
+        let hits = Telemetry.value Telemetry.c_plan_cache_hits in
+        Telemetry.set_enabled false;
+        if Array.exists (fun r -> r <> expected) replies || hits <> 2 then
+          failwith
+            (Printf.sprintf
+               "P17 %s: paths disagree or the warm run missed the plan \
+                cache (%d hits)"
+               name hits);
+        Array.iter (fun f -> for _ = 1 to 20 do ignore (f ()) done) paths;
+        let samples = Array.make_matrix 3 repeats 0.0 in
+        let orders =
+          [| [| 0; 1; 2 |]; [| 1; 2; 0 |]; [| 2; 0; 1 |]; [| 2; 1; 0 |];
+             [| 1; 0; 2 |]; [| 0; 2; 1 |] |]
+        in
+        for r = 0 to repeats - 1 do
+          for k = 0 to 2 do
+            let i = orders.(r mod 6).(k) in
+            (* the cold path leaves the most garbage: collect it here,
+               untimed, rather than in whichever block runs next *)
+            Gc.full_major ();
+            let t0 = Mclock.now () in
+            for _ = 1 to block do ignore (paths.(i) ()) done;
+            let us =
+              Int64.to_float (Int64.sub (Mclock.now ()) t0)
+              /. 1e3 /. float_of_int block
+            in
+            samples.(i).(r) <- us
+          done
+        done;
+        let warm_over_prepared =
+          median (Array.map2 ( /. ) samples.(1) samples.(2))
+        in
+        (name, sql, Array.map summary samples, warm_over_prepared))
+      p17_queries
+  in
+  Printf.printf "cores=%d repeats=%d block=%d\n\n"
+    (Aqua_multicore.Mcore.num_cores ())
+    repeats block;
+  Printf.printf "  %-20s %12s %12s %12s %10s\n" "query (us/stmt)" "cold ad hoc"
+    "warm ad hoc" "prepared" "warm/prep";
+  List.iter
+    (fun (name, _, s, ratio) ->
+      let (c, _, _), (w, _, _), (p, _, _) = (s.(0), s.(1), s.(2)) in
+      Printf.printf "  %-20s %12.1f %12.1f %12.1f %10.3f\n" name c w p ratio)
+    measured;
+  let oc = open_out p17_json_path in
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"P17 compiled-plan cache\",\n  \"units\": \
+     \"microseconds per statement: median over interleaved repeats, with \
+     min and max\",\n  \"seed\": %d,\n  \"smoke\": %b,\n  \"cores\": \
+     %d,\n  \"repeats\": %d,\n  \"block\": %d,\n  \"queries\": [\n"
+    seed !smoke (Aqua_multicore.Mcore.num_cores ()) repeats block;
+  let n = List.length measured in
+  List.iteri
+    (fun qi (name, sql, s, ratio) ->
+      let leg (m, lo, hi) =
+        Printf.sprintf "{ \"median\": %.2f, \"min\": %.2f, \"max\": %.2f }"
+          m lo hi
+      in
+      let med i = let m, _, _ = s.(i) in m in
+      Printf.fprintf oc
+        "    { \"name\": %S, \"sql\": %S,\n      \"cold_adhoc_us\": %s,\n      \
+         \"warm_adhoc_us\": %s,\n      \"prepared_us\": %s,\n      \
+         \"warm_over_prepared\": %.3f, \"cold_over_warm\": %.3f }%s\n"
+        name sql (leg s.(0)) (leg s.(1)) (leg s.(2))
+        ratio (med 0 /. med 1)
+        (if qi = n - 1 then "" else ","))
+    measured;
+  Printf.fprintf oc "  ]\n}\n";
+  close_out oc;
+  Printf.printf "\nwrote %s\n" p17_json_path;
+  flush stdout
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args =
@@ -1922,9 +2057,9 @@ let () =
   let selected =
     match args with
     | _ :: _ -> List.map String.uppercase_ascii args
-    | [] -> [ "P1"; "P1B"; "P2"; "P3"; "P4"; "P5"; "P6"; "P7"; "P8"; "P9"; "P10"; "P11"; "P12"; "P13"; "P14"; "P15" ]
+    | [] -> [ "P1"; "P1B"; "P2"; "P3"; "P4"; "P5"; "P6"; "P7"; "P8"; "P9"; "P10"; "P11"; "P12"; "P13"; "P14"; "P15"; "P17" ]
   in
-  let all = [ ("P1", p1); ("P1B", p1b); ("P2", p2); ("P3", p3); ("P4", p4); ("P5", p5); ("P6", p6); ("P7", p7); ("P8", p8); ("P9", p9); ("P10", p10); ("P11", p11); ("P12", p12); ("P13", p13); ("P14", p14); ("P15", p15) ] in
+  let all = [ ("P1", p1); ("P1B", p1b); ("P2", p2); ("P3", p3); ("P4", p4); ("P5", p5); ("P6", p6); ("P7", p7); ("P8", p8); ("P9", p9); ("P10", p10); ("P11", p11); ("P12", p12); ("P13", p13); ("P14", p14); ("P15", p15); ("P17", p17) ] in
   List.iter
     (fun name ->
       match List.assoc_opt name all with

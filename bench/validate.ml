@@ -8,7 +8,8 @@
    JSON files are dispatched on their "experiment" field (P1 text
    against XML transport, P6 join strategy, P9 observability overhead,
    P10 scan materialization, P11 concurrent serving throughput, P12
-   batched execution, P13 wire-protocol serving).  --prom switches to
+   batched execution, P13 wire-protocol serving, P17 compiled-plan
+   cache).  --prom switches to
    linting Prometheus text expositions ({!Aqua_obs.Expose.lint});
    --max-overhead R additionally fails a P9 file whose measured probe
    overhead ratio exceeds R; --min-speedup S fails a P10 file whose
@@ -16,8 +17,9 @@
    speedup_at_1024 is below S.  A P1 file always fails if some scale's
    text transport is less than 1.5x faster than XML.  A P12 file always
    fails if some scale's batched@1024 median is slower than its
-   row-at-a-time median.  Exit 0 when everything checks out; exit 1
-   with a list of problems otherwise. *)
+   row-at-a-time median.  A P17 file always fails if some query's warm
+   ad-hoc median exceeds 1.15x its prepared median.  Exit 0 when
+   everything checks out; exit 1 with a list of problems otherwise. *)
 
 module Json = Aqua_core.Json
 
@@ -533,6 +535,50 @@ let validate_p15 ?min_speedup path json =
   | Some _ -> problem "%s: \"telemetry\" is not an object" path
   | None -> problem "%s: missing field \"telemetry\"" path
 
+(* P17: the compiled-plan cache — microseconds per statement on the
+   cold ad-hoc, warm ad-hoc and prepared paths.  The hard gate: a warm
+   ad-hoc statement runs its cached plan, so on every query its
+   [warm_over_prepared] (the median of per-repeat paired ratios) must
+   stay within [p17_max_warm_over_prepared]. *)
+let p17_max_warm_over_prepared = 1.15
+
+let validate_p17 path json =
+  check_field path json "experiment" is_string "a string";
+  check_field path json "units" is_string "a string";
+  check_field path json "seed" is_int "an integer";
+  check_field path json "smoke" is_bool "a boolean";
+  check_field path json "cores" is_int "an integer";
+  check_field path json "repeats" is_int "an integer";
+  check_field path json "block" is_int "an integer";
+  let check_leg qpath q leg =
+    match Json.member leg q with
+    | Some (Json.Obj _ as o) ->
+      List.iter
+        (fun f -> check_field (qpath ^ ": " ^ leg) o f is_number_or_null "a number")
+        [ "median"; "min"; "max" ]
+    | _ -> problem "%s: missing object %S" qpath leg
+  in
+  match Json.member "queries" json with
+  | Some (Json.Arr queries) ->
+    if queries = [] then problem "%s: \"queries\" is empty" path;
+    List.iteri
+      (fun i q ->
+        let qpath = Printf.sprintf "%s: queries[%d]" path i in
+        check_field qpath q "name" is_string "a string";
+        check_field qpath q "sql" is_string "a string";
+        List.iter (check_leg qpath q)
+          [ "cold_adhoc_us"; "warm_adhoc_us"; "prepared_us" ];
+        check_field qpath q "cold_over_warm" is_number_or_null "a number";
+        match Json.member "warm_over_prepared" q with
+        | Some (Json.Num r) ->
+          if r > p17_max_warm_over_prepared then
+            problem "%s: warm ad hoc is %.3fx prepared (bound %.2fx)" qpath r
+              p17_max_warm_over_prepared
+        | _ -> problem "%s: field \"warm_over_prepared\" is not a number" qpath)
+      queries
+  | Some _ -> problem "%s: \"queries\" is not an array" path
+  | None -> problem "%s: missing field \"queries\"" path
+
 (* P14: trace-sampling overhead on the serve path — closed-loop legs
    identical but for trace wiring.  The hard gates: the baseline and
    0%-sampling legs must emit zero trace lines (0% means silent), the
@@ -642,6 +688,9 @@ let validate_p1 path json =
 let validate ?max_overhead ?min_speedup path json =
   match Json.member "experiment" json with
   | Some (Json.Str "P1") -> validate_p1 path json
+  | Some (Json.Str e)
+    when String.length e >= 3 && String.sub e 0 3 = "P17" ->
+    validate_p17 path json
   | Some (Json.Str e)
     when String.length e >= 3 && String.sub e 0 3 = "P15" ->
     validate_p15 ?min_speedup path json

@@ -15,7 +15,8 @@ type transport = Xml | Text
 
 (* Bounded LRU over translated queries, keyed by SQL text.  The
    JDBC-reporting workload of the paper re-issues identical ad-hoc SQL
-   constantly; caching skips the parse/semantic/generate stages.  LRU
+   constantly; caching skips the parse/semantic/generate stages (and,
+   through the compiled plan an [entry] holds, optimize and compile).  LRU
    order is kept in a doubly-linked-list-free way: a use counter per
    entry, evicting the least recently used entry when full.  The
    counter is renumbered (compacted to 0..n-1, preserving order) when
@@ -95,6 +96,26 @@ end
 
 let translation_cache_capacity = 128
 
+(* One compiled plan of a cached translation, for one transport. *)
+type plan =
+  | Compiled of Server.prepared
+  | Rejected
+      (* the compiler refused the query: every execution runs ad hoc
+         and takes the evaluator's counted interpreter fallback *)
+
+(* A translation-LRU entry: the translation plus, per transport, the
+   plan the primary server compiled for it — built lazily, on the
+   text's second use or by [Prepared.prepare].  [vars] are the
+   prepared-statement parameters ($param1..n) the plans expect; [fp]
+   is the text's fingerprint, computed once when first observed. *)
+type entry = {
+  tr : Translator.t;
+  vars : string list;
+  mutable xml_plan : plan option;
+  mutable text_plan : plan option;
+  mutable fp : (string * string) option;
+}
+
 type t = {
   app : Artifact.application;
   srv : Server.t;
@@ -106,9 +127,11 @@ type t = {
          fallback rerun reuses the scans the crashed optimized run
          already fetched *)
   cache : Metadata.Cache.t;
-  translations : Translator.t Lru.t;
+  translations : entry Lru.t;
   env : Semantic.env;
   optimize : bool;
+  compiles : bool;
+      (* [srv] runs the compiled engine, so entries can hold plans *)
   rev_lock : Mcore.Mutex.t;
       (* serializes [revalidate]/[invalidate]: exactly one domain
          performs the three-cache flush for a given revision bump *)
@@ -135,6 +158,7 @@ let connect ?(transport = Text) ?(metadata_cache = true)
     translations = Lru.create ~enabled:translation_cache translation_cache_capacity;
     env = Semantic.env_of_cache cache;
     optimize;
+    compiles = optimize && vectorize;
     rev_lock = Mcore.Mutex.create ();
     limits;
     transport;
@@ -173,21 +197,78 @@ let invalidate t =
   Aqua_dsp.Scan_cache.flush t.scans;
   t.seen_revision <- Artifact.revision t.app
 
+let count_params (s : A.statement) =
+  (* parameters are numbered consecutively by the parser *)
+  let rec expr_max acc (e : A.expr) =
+    A.fold_expr
+      (fun acc e ->
+        let acc =
+          match e with A.Param n -> max acc n | _ -> acc
+        in
+        List.fold_left query_max acc (A.subqueries_of_expr e))
+      acc e
+  and spec_max acc (spec : A.query_spec) =
+    let acc =
+      List.fold_left
+        (fun acc item ->
+          match item with
+          | A.Expr_item (e, _) -> expr_max acc e
+          | A.Star | A.Table_star _ -> acc)
+        acc spec.A.select
+    in
+    let acc = List.fold_left table_ref_max acc spec.A.from in
+    let acc =
+      match spec.A.where with Some w -> expr_max acc w | None -> acc
+    in
+    let acc = List.fold_left expr_max acc spec.A.group_by in
+    match spec.A.having with Some h -> expr_max acc h | None -> acc
+  and table_ref_max acc (tr : A.table_ref) =
+    match tr with
+    | A.Primary (A.Table_ref_name _) -> acc
+    | A.Primary (A.Derived { query; _ }) -> query_max acc query
+    | A.Join { left; right; cond; _ } ->
+      let acc = table_ref_max acc left in
+      let acc = table_ref_max acc right in
+      (match cond with Some c -> expr_max acc c | None -> acc)
+  and query_max acc (q : A.query) =
+    match q with
+    | A.Spec spec -> spec_max acc spec
+    | A.Set { left; right; _ } -> query_max (query_max acc left) right
+  in
+  let acc = query_max 0 s.A.body in
+  List.fold_left
+    (fun acc (o : A.order_item) ->
+      match o.A.key with
+      | A.Ord_expr e -> expr_max acc e
+      | A.Ord_position _ -> acc)
+    acc s.A.order_by
+
+let param_vars n = List.init n (fun i -> Printf.sprintf "param%d" (i + 1))
+
 let translate_cached t sql =
   let module T = Aqua_core.Telemetry in
   revalidate t;
   Failpoint.hit "driver.translate";
   match Lru.find t.translations sql with
-  | Some tr ->
+  | Some e ->
     T.incr T.c_cache_hits;
-    (tr, true)
+    (e, true)
   | None ->
     T.incr T.c_cache_misses;
     let tr = Translator.translate t.env sql in
-    Lru.add t.translations sql tr;
-    (tr, false)
+    let e =
+      {
+        tr;
+        vars = param_vars (count_params tr.Translator.statement);
+        xml_plan = None;
+        text_plan = None;
+        fp = None;
+      }
+    in
+    Lru.add t.translations sql e;
+    (e, false)
 
-let translate t sql = fst (translate_cached t sql)
+let translate t sql = (fst (translate_cached t sql)).tr
 
 let translation_cache_size t = Lru.length t.translations
 let translation_cache_clock t = Lru.clock t.translations
@@ -203,10 +284,17 @@ type stages = {
   mutable execute_ns : int64;
   mutable decode_ns : int64;
   mutable cache_hit : bool;
+  mutable plan_cached : bool;  (* ran a plan already stored in the entry *)
 }
 
 let fresh_stages () =
-  { translate_ns = 0L; execute_ns = 0L; decode_ns = 0L; cache_hit = false }
+  {
+    translate_ns = 0L;
+    execute_ns = 0L;
+    decode_ns = 0L;
+    cache_hit = false;
+    plan_cached = false;
+  }
 
 (* Time [f], crediting the (0-clamped) elapsed time via [credit] even
    when [f] raises — a failing stage's cost is still its cost. *)
@@ -225,36 +313,97 @@ let timed credit f =
     finish ();
     raise e
 
-let run_on conn srv ~stages ~bindings (tr : Translator.t) =
+(* --- the plan cache ------------------------------------------------- *)
+
+(* Compile [e]'s plan for [transport] on the primary server and store
+   it.  Two domains may race to build the same plan; both results are
+   equivalent and the last store wins.  A compile rejection is stored
+   too, so the compiler is not asked again.  [None]: run ad hoc. *)
+let build_plan t e transport =
+  let q =
+    match transport with
+    | Xml -> e.tr.Translator.xquery
+    | Text -> Translator.for_text_transport e.tr
+  in
+  let plan =
+    match Server.prepare ~vars:e.vars t.srv q with
+    | p -> Compiled p
+    | exception Aqua_xqeval.Compile.Compile_error _ -> Rejected
+  in
+  (match transport with
+  | Xml -> e.xml_plan <- Some plan
+  | Text -> e.text_plan <- Some plan);
+  match plan with Compiled p -> Some p | Rejected -> None
+
+(* One plan lookup, counted: a hit runs the plan stored in [e]; on a
+   miss the plan is built now when [admit], and otherwise the
+   statement runs ad hoc ([None]). *)
+let lookup_plan t ~stages ~admit e transport =
+  let module T = Aqua_core.Telemetry in
+  match (match transport with Xml -> e.xml_plan | Text -> e.text_plan) with
+  | Some (Compiled p) ->
+    T.incr T.c_plan_cache_hits;
+    stages.plan_cached <- true;
+    Some p
+  | Some Rejected ->
+    T.incr T.c_plan_cache_misses;
+    None
+  | None ->
+    T.incr T.c_plan_cache_misses;
+    if admit then build_plan t e transport else None
+
+(* Execute on [srv] and decode.  [plan] is forced inside the execute
+   clock and inside the caller's degradation scope; [None] runs the
+   translation ad hoc (the evaluator optimizes and compiles it). *)
+let run_on srv ~transport ~stages ~bindings ~plan (tr : Translator.t) =
   let exec d = stages.execute_ns <- Int64.add stages.execute_ns d in
   let dec d = stages.decode_ns <- Int64.add stages.decode_ns d in
-  match conn.transport with
+  match transport with
   | Xml ->
     (* server executes, serializes; the client parses the text *)
     let text =
       timed exec (fun () ->
-          Server.execute_to_xml ~bindings srv tr.Translator.xquery)
+          match plan () with
+          | Some p ->
+            Aqua_xml.Serialize.sequence_to_string
+              (Server.execute_prepared ~bindings p)
+          | None -> Server.execute_to_xml ~bindings srv tr.Translator.xquery)
     in
     timed dec (fun () -> Result_set.of_xml_text tr.Translator.columns text)
   | Text ->
-    let wrapped = Translator.for_text_transport tr in
     let text =
-      timed exec (fun () -> Server.execute_to_text ~bindings srv wrapped)
+      timed exec (fun () ->
+          match plan () with
+          | Some p -> Server.execute_prepared_to_text ~bindings p
+          | None ->
+            Server.execute_to_text ~bindings srv
+              (Translator.for_text_transport tr))
     in
     timed dec (fun () -> Result_set.of_encoded_text tr.Translator.columns text)
 
-let run_translated conn ?(bindings = []) ~stages (tr : Translator.t) =
-  if not conn.optimize then run_on conn conn.srv ~stages ~bindings tr
+(* Run entry [e] with [bindings] for its parameters.  Its plan serves
+   only when every parameter is bound (an ad-hoc text with '?' runs ad
+   hoc and fails there, as it always did).  A degradable failure reruns
+   ad hoc on the unoptimized interpreter; the plan stays stored. *)
+let run_entry t ~bindings ~stages ~admit e =
+  let transport = t.transport in
+  let plan () =
+    if t.compiles && List.compare_lengths bindings e.vars = 0 then
+      lookup_plan t ~stages ~admit e transport
+    else None
+  in
+  let run srv plan = run_on srv ~transport ~stages ~bindings ~plan e.tr in
+  if not t.optimize then run t.srv plan
   else
-    try run_on conn conn.srv ~stages ~bindings tr
-    with e when Sql_error.degradable e ->
+    try run t.srv plan
+    with ex when Sql_error.degradable ex ->
       let module T = Aqua_core.Telemetry in
       if T.enabled () then begin
         T.incr T.c_fallbacks_unoptimized;
         T.trace_event "fallback"
-          [ ("reason", Printexc.to_string e); ("plan", "unoptimized") ]
+          [ ("reason", Printexc.to_string ex); ("plan", "unoptimized") ]
       end;
-      run_on conn conn.srv_unopt ~stages ~bindings tr
+      run t.srv_unopt (fun () -> None)
 
 module Stats = Aqua_obs.Stats
 module Recorder = Aqua_obs.Recorder
@@ -266,7 +415,7 @@ module Fingerprint = Aqua_obs.Fingerprint
    call — meaningful when telemetry is enabled, zero otherwise).  When
    a SQLSTATE error escapes, the recorder ring is dumped to its sink
    so the operator sees what the last statements actually did. *)
-let observe_run ~digest ~shape ~stages ~plan run =
+let observe_run ~fingerprint ~stages ~plan run =
   let module T = Aqua_core.Telemetry in
   let start = T.now_ns () in
   let b_retries = T.value T.c_retry_attempts in
@@ -286,8 +435,10 @@ let observe_run ~digest ~shape ~stages ~plan run =
     in
     let plan =
       if resilience.Recorder.fallbacks > 0 then "fallback-unoptimized"
+      else if stages.plan_cached then "cached"
       else plan
     in
+    let digest, shape = fingerprint () in
     Stats.observe ~digest ~shape ~translate_ns:stages.translate_ns
       ~execute_ns:stages.execute_ns ~decode_ns:stages.decode_ns ~rows
       ~cache_hit:stages.cache_hit ?error ~total_ns:dur ();
@@ -306,31 +457,45 @@ let observe_run ~digest ~shape ~stages ~plan run =
 
 let observing () = Stats.enabled () || Recorder.enabled ()
 
+(* The recorder's plan note when no stored plan ran. *)
+let plan_label t = if t.optimize then "optimized" else "unoptimized"
+
+let entry_fingerprint e sql =
+  match e.fp with
+  | Some fp -> fp
+  | None ->
+    let fp = Fingerprint.fingerprint sql in
+    e.fp <- Some fp;
+    fp
+
 let execute_query ?limits ?fingerprint t sql =
   let stages = fresh_stages () in
   let limits = match limits with Some l -> l | None -> t.limits in
+  let entry = ref None in
   let run () =
     Sql_error.wrap @@ fun () ->
     Budget.with_budget limits @@ fun () ->
-    let tr =
+    let e =
       timed
         (fun d -> stages.translate_ns <- Int64.add stages.translate_ns d)
         (fun () ->
-          let tr, hit = translate_cached t sql in
+          let e, hit = translate_cached t sql in
           stages.cache_hit <- hit;
-          tr)
+          entry := Some e;
+          e)
     in
-    run_translated t ~bindings:[] ~stages tr
+    (* second-use admission: a translation hit builds the plan *)
+    run_entry t ~bindings:[] ~stages ~admit:stages.cache_hit e
   in
   if not (observing ()) then run ()
   else
-    let digest, shape =
-      match fingerprint with
-      | Some fp -> fp
-      | None -> Fingerprint.fingerprint sql
+    let fingerprint () =
+      match (fingerprint, !entry) with
+      | Some fp, _ -> fp
+      | None, Some e -> entry_fingerprint e sql
+      | None, None -> Fingerprint.fingerprint sql
     in
-    let plan = if t.optimize then "optimized" else "unoptimized" in
-    observe_run ~digest ~shape ~stages ~plan run
+    observe_run ~fingerprint ~stages ~plan:(plan_label t) run
 
 (* Concurrent entry point: execute a batch of statements across
    [domains] domains sharing THIS connection (its translation, metadata
@@ -370,84 +535,29 @@ let execute_concurrent ?domains t sqls =
 (* ------------------------------------------------------------------ *)
 
 module Prepared = struct
-  (* Preparation compiles both transport variants of the translated
-     query once (the server's compiled-query path); execution just
-     re-binds parameters. *)
+  (* A thin view over the connection's translation entry: preparing
+     builds the entry's plan for the current transport (the other one
+     on first use after a transport switch), and ad-hoc executions of
+     the same text share that plan.  The statement keeps its entry even
+     after the LRU drops it. *)
   type stmt = {
     conn : t;
-    translated : Translator.t;
-    compiled_xml : Server.prepared;
-    compiled_text : Server.prepared;
+    entry : entry;
     params : Item.sequence option array;
-    fp_digest : string;
-    fp_shape : string;
+    fp : string * string;
   }
 
-  let count_params (s : A.statement) =
-    (* parameters are numbered consecutively by the parser *)
-    let rec expr_max acc (e : A.expr) =
-      A.fold_expr
-        (fun acc e ->
-          let acc =
-            match e with A.Param n -> max acc n | _ -> acc
-          in
-          List.fold_left query_max acc (A.subqueries_of_expr e))
-        acc e
-    and spec_max acc (spec : A.query_spec) =
-      let acc =
-        List.fold_left
-          (fun acc item ->
-            match item with
-            | A.Expr_item (e, _) -> expr_max acc e
-            | A.Star | A.Table_star _ -> acc)
-          acc spec.A.select
-      in
-      let acc = List.fold_left table_ref_max acc spec.A.from in
-      let acc =
-        match spec.A.where with Some w -> expr_max acc w | None -> acc
-      in
-      let acc = List.fold_left expr_max acc spec.A.group_by in
-      match spec.A.having with Some h -> expr_max acc h | None -> acc
-    and table_ref_max acc (tr : A.table_ref) =
-      match tr with
-      | A.Primary (A.Table_ref_name _) -> acc
-      | A.Primary (A.Derived { query; _ }) -> query_max acc query
-      | A.Join { left; right; cond; _ } ->
-        let acc = table_ref_max acc left in
-        let acc = table_ref_max acc right in
-        (match cond with Some c -> expr_max acc c | None -> acc)
-    and query_max acc (q : A.query) =
-      match q with
-      | A.Spec spec -> spec_max acc spec
-      | A.Set { left; right; _ } -> query_max (query_max acc left) right
-    in
-    let acc = query_max 0 s.A.body in
-    List.fold_left
-      (fun acc (o : A.order_item) ->
-        match o.A.key with
-        | A.Ord_expr e -> expr_max acc e
-        | A.Ord_position _ -> acc)
-      acc s.A.order_by
-
   let prepare conn sql =
-    let translated = translate conn sql in
-    let n = count_params translated.Translator.statement in
-    let vars = List.init n (fun i -> Printf.sprintf "param%d" (i + 1)) in
-    let compiled_xml =
-      Server.prepare ~vars conn.srv translated.Translator.xquery
-    in
-    let compiled_text =
-      Server.prepare ~vars conn.srv (Translator.for_text_transport translated)
-    in
-    let fp_digest, fp_shape = Fingerprint.fingerprint sql in
+    let entry, _ = translate_cached conn sql in
+    if conn.compiles then
+      ignore
+        (lookup_plan conn ~stages:(fresh_stages ()) ~admit:true entry
+           conn.transport);
     {
       conn;
-      translated;
-      compiled_xml;
-      compiled_text;
-      params = Array.make n None;
-      fp_digest;
-      fp_shape;
+      entry;
+      params = Array.make (List.length entry.vars) None;
+      fp = entry_fingerprint entry sql;
     }
 
   let parameter_count stmt = Array.length stmt.params
@@ -477,45 +587,29 @@ module Prepared = struct
 
   let execute_query stmt =
     let bindings =
-      Array.to_list
-        (Array.mapi
-           (fun i p ->
-             match p with
-             | Some seq -> (Printf.sprintf "param%d" (i + 1), seq)
-             | None ->
-               invalid_arg
-                 (Printf.sprintf "parameter %d is not bound" (i + 1)))
-           stmt.params)
+      List.mapi
+        (fun i name ->
+          match stmt.params.(i) with
+          | Some seq -> (name, seq)
+          | None ->
+            invalid_arg
+              (Printf.sprintf "parameter %d is not bound" (i + 1)))
+        stmt.entry.vars
     in
-    let columns = stmt.translated.Translator.columns in
     let stages = fresh_stages () in
     (* translation happened at prepare time: a prepared execution is
        the cache-hit case by construction *)
     stages.cache_hit <- true;
-    let exec d = stages.execute_ns <- Int64.add stages.execute_ns d in
-    let dec d = stages.decode_ns <- Int64.add stages.decode_ns d in
+    let conn = stmt.conn in
     let run () =
       Sql_error.wrap @@ fun () ->
-      Budget.with_budget stmt.conn.limits @@ fun () ->
-      match stmt.conn.transport with
-      | Xml ->
-        let text =
-          timed exec (fun () ->
-              Aqua_xml.Serialize.sequence_to_string
-                (Server.execute_prepared ~bindings stmt.compiled_xml))
-        in
-        timed dec (fun () -> Result_set.of_xml_text columns text)
-      | Text ->
-        let text =
-          timed exec (fun () ->
-              Server.execute_prepared_to_text ~bindings stmt.compiled_text)
-        in
-        timed dec (fun () -> Result_set.of_encoded_text columns text)
+      Budget.with_budget conn.limits @@ fun () ->
+      run_entry conn ~bindings ~stages ~admit:true stmt.entry
     in
     if not (observing ()) then run ()
     else
-      observe_run ~digest:stmt.fp_digest ~shape:stmt.fp_shape ~stages
-        ~plan:"prepared" run
+      observe_run ~fingerprint:(fun () -> stmt.fp) ~stages
+        ~plan:(plan_label conn) run
 end
 
 (* ------------------------------------------------------------------ *)

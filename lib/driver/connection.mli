@@ -45,7 +45,13 @@ val connect :
     [metadata_cache] defaults to [true].  [translation_cache] (default
     [true]) keeps a bounded LRU (128 entries) of translated queries
     keyed by SQL text, so re-issued ad-hoc SQL skips the three-stage
-    translation.  [optimize] (default [true]) enables the XQuery-side
+    translation.  Each entry also caches, per transport, the plan the
+    connection's server compiled for it (the plan cache, DESIGN.md
+    section 18): a text's second use builds the plan and later uses
+    run it without optimizing or compiling again, while a text seen
+    once stores none.  Plans are dropped with their translations on a
+    metadata revision bump; they hold no data, so row inserts keep
+    them.  [optimize] (default [true]) enables the XQuery-side
     optimizer (predicate pushdown, hash equi-joins, streaming
     pipeline) on the server this connection talks to; [vectorize]
     (default [true]) executes optimized plans, ad-hoc and prepared,
@@ -114,7 +120,11 @@ val execute_query :
     [fingerprint] is the statement's [(digest, shape)] from
     {!Aqua_obs.Fingerprint.fingerprint}, when the caller has already
     computed it; otherwise it is computed here if the statement is
-    observed.
+    observed, once per cached translation.
+    A statement whose translation was cached runs the entry's compiled
+    plan (counted as [driver.plan_cache.hits]; a lookup that finds no
+    plan is a [driver.plan_cache.misses]), and the flight recorder
+    notes its plan as ["cached"].
     If the optimized evaluator crashes mid-query, the driver retries
     once on the unoptimized server (graceful degradation, counted as
     [driver.fallbacks_unoptimized] in telemetry).
@@ -132,12 +142,18 @@ val execute_concurrent :
     rest.  On a pre-5.0 build the domains shim runs the workers
     sequentially: same results, no parallelism. *)
 
-(** Prepared statements with ['?'] parameters. *)
+(** Prepared statements with ['?'] parameters: a view over the
+    connection's translation-cache entry for the text, so a prepared
+    statement and ad-hoc executions of the same text share one plan. *)
 module Prepared : sig
   type stmt
 
   val prepare : t -> string -> stmt
-  (** Translates once; execution re-binds parameters. *)
+  (** Translates (or finds the cached translation) and builds the
+      entry's plan for the current transport; execution re-binds
+      parameters and runs that plan.  The statement keeps its entry
+      even when the translation cache later drops it.  Executions
+      degrade to the unoptimized interpreter like {!execute_query}. *)
 
   val parameter_count : stmt -> int
   val set_value : stmt -> int -> Aqua_relational.Value.t -> unit

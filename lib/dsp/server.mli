@@ -101,9 +101,11 @@ val execute_to_text :
 
 type prepared
 (** A query compiled once (via {!Aqua_xqeval.Compile}) for repeated
-    execution — the server-side compilation step of the platform.  On
-    a [~vectorize:false] server it is the query itself, interpreted at
-    each execution like {!execute}. *)
+    execution — the server-side compilation step of the platform, and
+    what the driver's plan cache stores per translation.  A compiled
+    plan keeps its scratch per invocation, so one plan may run on
+    several domains at once.  On a [~vectorize:false] server it is the
+    query itself, interpreted at each execution like {!execute}. *)
 
 val prepare :
   ?vars:string list -> t -> Aqua_xquery.Ast.query -> prepared

@@ -1,8 +1,12 @@
 (* Lexical SQL normalizer + FNV-1a digest.  This deliberately does not
    reuse the SQL parser: fingerprinting must work on statements the
    parser rejects (so errors aggregate by shape), and must not care
-   about grammar details.  One left-to-right pass produces a token
-   list; a second tiny pass collapses literal IN-lists. *)
+   about grammar details.
+
+   One left-to-right pass lexes the text and appends each token, with
+   its separator, straight into one buffer.  Literal IN-lists collapse
+   in place: the buffer length after [IN(?] is marked, and a closing
+   paren that completes [IN ( ? {, ?} )] truncates back to the mark. *)
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -10,13 +14,65 @@ let is_ident_start c =
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '$'
 let is_digit c = c >= '0' && c <= '9'
 
-(* Two-character operators that must stay one token. *)
-let two_char_ops = [ "<="; ">="; "<>"; "!="; "||" ]
+let is_two_char_op a b =
+  match (a, b) with
+  | '<', ('=' | '>') | '>', '=' | '!', '=' | '|', '|' -> true
+  | _ -> false
 
-let tokens sql =
+(* The output so far: the buffer, whether a token was written, whether
+   the last one was [(] or [.], and the progress through an
+   [IN ( ? {, ?} )] list: 0 outside, 1 after IN, 2 after IN (, and from
+   3 on, 3 + the [, ?] tokens since [IN ( ?] (an odd count expects
+   [?], an even one [,] or [)]), with [mark] the length after [IN(?]. *)
+type out = {
+  buf : Buffer.t;
+  mutable started : bool;
+  mutable glue : bool;
+  mutable in_list : int;
+  mutable mark : int;
+}
+
+(* Spacing: single separators, but punctuation hugs its operand — no
+   space before commas, dots or parens and none after an opening paren
+   or dot — so shapes read like [COUNT(STAR)] and [IN(?)]. *)
+let sep o ~hugs_left ~glues =
+  if o.started && (not hugs_left) && not o.glue then Buffer.add_char o.buf ' ';
+  o.started <- true;
+  o.glue <- glues
+
+let listing o = o.in_list >= 3 && (o.in_list - 3) land 1 = 0
+
+let word o ~is_in =
+  o.in_list <- (if is_in then 1 else 0);
+  sep o ~hugs_left:false ~glues:false
+
+let placeholder o =
+  sep o ~hugs_left:false ~glues:false;
+  Buffer.add_char o.buf '?';
+  if o.in_list = 2 then begin
+    o.in_list <- 3;
+    o.mark <- Buffer.length o.buf
+  end
+  else if o.in_list >= 3 && not (listing o) then o.in_list <- o.in_list + 1
+  else o.in_list <- 0
+
+let punct o c =
+  if c = ')' && listing o then Buffer.truncate o.buf o.mark;
+  o.in_list <-
+    (if c = '(' && o.in_list = 1 then 2
+     else if c = ',' && listing o then o.in_list + 1
+     else 0);
+  sep o
+    ~hugs_left:(c = ',' || c = ')' || c = '.' || c = '(')
+    ~glues:(c = '(' || c = '.');
+  Buffer.add_char o.buf c
+
+let normalize sql =
   let n = String.length sql in
-  let toks = ref [] in
-  let push t = toks := t :: !toks in
+  let o =
+    { buf = Buffer.create (n + 8); started = false; glue = false;
+      in_list = 0; mark = 0 }
+  in
   let i = ref 0 in
   while !i < n do
     let c = sql.[!i] in
@@ -50,7 +106,7 @@ let tokens sql =
           end
         else incr i
       done;
-      push "?"
+      placeholder o
     end
     else if c = '"' then begin
       (* quoted identifier: kept verbatim, case preserved *)
@@ -58,7 +114,8 @@ let tokens sql =
       incr i;
       while !i < n && sql.[!i] <> '"' do incr i done;
       if !i < n then incr i;
-      push (String.sub sql start (!i - start))
+      word o ~is_in:false;
+      Buffer.add_substring o.buf sql start (!i - start)
     end
     else if is_digit c || (c = '.' && !i + 1 < n && is_digit sql.[!i + 1])
     then begin
@@ -76,80 +133,53 @@ let tokens sql =
           while !i < n && is_digit sql.[!i] do incr i done
         end
       end;
-      push "?"
+      placeholder o
     end
     else if is_ident_start c then begin
       let start = !i in
       while !i < n && is_ident_char sql.[!i] do incr i done;
-      push (String.uppercase_ascii (String.sub sql start (!i - start)))
+      let len = !i - start in
+      let is_in =
+        len = 2
+        && Char.uppercase_ascii sql.[start] = 'I'
+        && Char.uppercase_ascii sql.[start + 1] = 'N'
+      in
+      word o ~is_in;
+      for j = start to !i - 1 do
+        Buffer.add_char o.buf (Char.uppercase_ascii sql.[j])
+      done
+    end
+    else if !i + 1 < n && is_two_char_op c sql.[!i + 1] then begin
+      word o ~is_in:false;
+      Buffer.add_char o.buf c;
+      Buffer.add_char o.buf sql.[!i + 1];
+      i := !i + 2
     end
     else begin
-      let two =
-        if !i + 1 < n then Some (String.sub sql !i 2) else None
-      in
-      match two with
-      | Some op when List.mem op two_char_ops ->
-        push op;
-        i := !i + 2
-      | _ ->
-        push (String.make 1 c);
-        incr i
+      punct o c;
+      incr i
     end
   done;
-  List.rev !toks
+  Buffer.contents o.buf
 
-(* [IN ( ? , ? , ... ? )] -> [IN ( ? )]: the arity of a literal
-   IN-list is workload noise, not query shape. *)
-let rec collapse_in_lists = function
-  | "IN" :: "(" :: "?" :: rest -> (
-    let rec eat = function
-      | "," :: "?" :: r -> eat r
-      | ")" :: r -> Some r
-      | _ -> None
-    in
-    match eat rest with
-    | Some r -> "IN" :: "(" :: "?" :: ")" :: collapse_in_lists r
-    | None -> "IN" :: "(" :: "?" :: collapse_in_lists rest)
-  | tok :: rest -> tok :: collapse_in_lists rest
-  | [] -> []
-
-(* Spacing: single separators, but punctuation hugs its operand — no
-   space before commas, dots or parens and none after an opening paren
-   or dot — so shapes read like [COUNT(STAR)] and [IN(?)]. *)
-let assemble toks =
-  let buf = Buffer.create 128 in
-  let no_space_before t = t = "," || t = ")" || t = "." || t = "(" in
-  let no_space_after t = t = "(" || t = "." in
-  let prev = ref None in
-  List.iter
-    (fun t ->
-      (match !prev with
-      | Some p when not (no_space_before t) && not (no_space_after p) ->
-        Buffer.add_char buf ' '
-      | _ -> ());
-      Buffer.add_string buf t;
-      prev := Some t)
-    toks;
-  Buffer.contents buf
-
-let normalize sql = assemble (collapse_in_lists (tokens sql))
-
-(* FNV-1a, 64-bit *)
+(* FNV-1a, 64-bit, over the normalized text; a plain loop keeps the
+   accumulator unboxed. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
+let hex = "0123456789abcdef"
 
 let digest_of_normalized s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
+  let h = !h in
+  String.init 16 (fun k ->
+      hex.[Int64.to_int
+             (Int64.logand (Int64.shift_right_logical h (60 - (4 * k))) 15L)])
 
-let normalize_and_digest sql =
+let fingerprint sql =
   let n = normalize sql in
   (digest_of_normalized n, n)
 
-let digest sql = fst (normalize_and_digest sql)
-let fingerprint = normalize_and_digest
+let digest sql = fst (fingerprint sql)

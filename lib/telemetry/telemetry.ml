@@ -88,6 +88,8 @@ let c_engine_rows_scanned = counter "sqlengine.rows_scanned"
 let c_engine_rows_joined = counter "sqlengine.rows_joined"
 let c_cache_hits = counter "driver.cache_hits"
 let c_cache_misses = counter "driver.cache_misses"
+let c_plan_cache_hits = counter "driver.plan_cache.hits"
+let c_plan_cache_misses = counter "driver.plan_cache.misses"
 let c_resultset_rows = counter "driver.resultset_rows"
 let c_retry_attempts = counter "resilience.retry_attempts"
 let c_retry_giveups = counter "resilience.retry_giveups"
@@ -327,6 +329,8 @@ type metrics = {
   engine_rows_joined : int;
   cache_hits : int;
   cache_misses : int;
+  plan_cache_hits : int;
+  plan_cache_misses : int;
   resultset_rows : int;
   ds_calls : int;
   ds_call_ns : int64;
@@ -374,6 +378,8 @@ let snapshot () =
     engine_rows_joined = value c_engine_rows_joined;
     cache_hits = value c_cache_hits;
     cache_misses = value c_cache_misses;
+    plan_cache_hits = value c_plan_cache_hits;
+    plan_cache_misses = value c_plan_cache_misses;
     resultset_rows = value c_resultset_rows;
     ds_calls;
     ds_call_ns;
@@ -393,13 +399,13 @@ let snapshot () =
 
 let metrics_to_json m =
   Printf.sprintf
-    "{\"translations\":%d,\"parse_ns\":%Ld,\"semantic_ns\":%Ld,\"generate_ns\":%Ld,\"rows_emitted\":%d,\"hash_join_builds\":%d,\"hash_join_build_rows\":%d,\"hash_join_probes\":%d,\"hash_join_collisions\":%d,\"hash_join_reused\":%d,\"pushdown_rewrites\":%d,\"hash_join_rewrites\":%d,\"engine_rows_scanned\":%d,\"engine_rows_joined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"resultset_rows\":%d,\"ds_calls\":%d,\"ds_call_ns\":%Ld,\"scan_cache_hits\":%d,\"scan_cache_misses\":%d,\"scan_cache_evictions\":%d,\"scan_cache_bytes\":%d,\"shared_scan_rewrites\":%d,\"batch_batches\":%d,\"batch_rows\":%d,\"batch_filtered\":%d,\"columnar_batches\":%d,\"columnar_rows\":%d,\"columnar_pruned_columns\":%d,\"columnar_kernel_updates\":%d}"
+    "{\"translations\":%d,\"parse_ns\":%Ld,\"semantic_ns\":%Ld,\"generate_ns\":%Ld,\"rows_emitted\":%d,\"hash_join_builds\":%d,\"hash_join_build_rows\":%d,\"hash_join_probes\":%d,\"hash_join_collisions\":%d,\"hash_join_reused\":%d,\"pushdown_rewrites\":%d,\"hash_join_rewrites\":%d,\"engine_rows_scanned\":%d,\"engine_rows_joined\":%d,\"cache_hits\":%d,\"cache_misses\":%d,\"plan_cache_hits\":%d,\"plan_cache_misses\":%d,\"resultset_rows\":%d,\"ds_calls\":%d,\"ds_call_ns\":%Ld,\"scan_cache_hits\":%d,\"scan_cache_misses\":%d,\"scan_cache_evictions\":%d,\"scan_cache_bytes\":%d,\"shared_scan_rewrites\":%d,\"batch_batches\":%d,\"batch_rows\":%d,\"batch_filtered\":%d,\"columnar_batches\":%d,\"columnar_rows\":%d,\"columnar_pruned_columns\":%d,\"columnar_kernel_updates\":%d}"
     m.translations m.parse_ns m.semantic_ns m.generate_ns m.rows_emitted
     m.hash_join_builds m.hash_join_build_rows m.hash_join_probes
     m.hash_join_collisions m.hash_join_reused m.pushdown_rewrites
     m.hash_join_rewrites
     m.engine_rows_scanned m.engine_rows_joined m.cache_hits m.cache_misses
-    m.resultset_rows m.ds_calls m.ds_call_ns m.scan_cache_hits
+    m.plan_cache_hits m.plan_cache_misses m.resultset_rows m.ds_calls m.ds_call_ns m.scan_cache_hits
     m.scan_cache_misses m.scan_cache_evictions m.scan_cache_bytes
     m.shared_scan_rewrites m.batch_batches m.batch_rows m.batch_filtered
     m.columnar_batches m.columnar_rows m.columnar_pruned_columns

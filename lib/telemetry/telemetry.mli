@@ -47,7 +47,10 @@ val value : counter -> int
 val counters : unit -> (string * int) list
 (** All registered counters in first-registration order. *)
 
-(** Pre-registered counters used by the instrumented libraries. *)
+(** Pre-registered counters used by the instrumented libraries.  The
+    optimizer-time counters (the [*_rewrites] and [c_text_encoder_*])
+    count plans built: a statement that runs the driver's cached plan
+    moves none of them. *)
 
 val c_translations : counter       (* SQL statements translated *)
 val c_rows_emitted : counter       (* tuples emitted by FLWOR clauses (xqeval) *)
@@ -62,6 +65,8 @@ val c_engine_rows_scanned : counter (* base-table rows scanned (sqlengine) *)
 val c_engine_rows_joined : counter  (* rows produced by sqlengine joins *)
 val c_cache_hits : counter         (* driver LRU translation-cache hits *)
 val c_cache_misses : counter       (* driver LRU translation-cache misses *)
+val c_plan_cache_hits : counter    (* plan lookups served by a stored compiled plan *)
+val c_plan_cache_misses : counter  (* plan lookups that built a plan or ran ad hoc *)
 val c_resultset_rows : counter     (* rows materialized into driver result sets *)
 val c_retry_attempts : counter     (* backend calls re-attempted after a transient fault *)
 val c_retry_giveups : counter      (* retries exhausted; the fault propagated *)
@@ -191,6 +196,8 @@ type metrics = {
   engine_rows_joined : int;
   cache_hits : int;
   cache_misses : int;
+  plan_cache_hits : int;
+  plan_cache_misses : int;
   resultset_rows : int;
   ds_calls : int;          (** DSP data-service function invocations *)
   ds_call_ns : int64;      (** total latency across those invocations *)

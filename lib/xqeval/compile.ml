@@ -284,10 +284,11 @@ let note_batch n =
   Telemetry.incr Telemetry.c_col_batches;
   Telemetry.add Telemetry.c_col_rows n
 
-(* Batch buffers are pooled at module level: [Server.execute] recompiles
-   its plan on every call, so a per-closure pool would never see a
-   second invocation, and at large batch sizes the O(capacity) buffer
-   allocation per call would dominate.  Acquire removes a buffer from
+(* Batch buffers are pooled at module level: an ad-hoc [Server.execute]
+   compiles a fresh plan per call, so a per-closure pool would never see
+   a second invocation, and a cached plan may run on several domains at
+   once; at large batch sizes the O(capacity) buffer allocation per call
+   would dominate.  Acquire removes a buffer from
    the pool (re-entrant pipelines therefore just take distinct
    buffers); a normal completion returns them, a failed invocation
    drops them to the GC.  A pooled buffer is re-shaped to the current

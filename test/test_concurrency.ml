@@ -126,6 +126,38 @@ let connection_replay () =
       results
   done
 
+(* The same replay through cached plans: a sequential warm-up stores
+   every statement's plan (second use), then 4 domains run those
+   plans at once.  Each compiled plan keeps its scratch per
+   invocation, so sharing one across domains must change nothing. *)
+let cached_plan_replay () =
+  let app = Helpers.demo_app () in
+  let oracle_env = Engine.env_of_application app in
+  let oracle = List.map (Engine.execute_sql oracle_env) workload in
+  let conn = Connection.connect app in
+  with_telemetry @@ fun () ->
+  for _ = 1 to 2 do
+    List.iter (fun sql -> ignore (Connection.execute_query conn sql)) workload
+  done;
+  let misses = T.value T.c_plan_cache_misses in
+  for _round = 1 to stress do
+    let results = Connection.execute_concurrent ~domains conn workload in
+    List.iter2
+      (fun (sql, expected) result ->
+        match result with
+        | Ok rs -> check_same sql expected (rowset_of rs)
+        | Error e ->
+          Alcotest.failf "statement failed concurrently: %s: %s" sql
+            (Printexc.to_string e))
+      (List.combine workload oracle)
+      results
+  done;
+  Alcotest.(check int) "every concurrent run used a cached plan"
+    (stress * List.length workload)
+    (T.value T.c_plan_cache_hits);
+  Alcotest.(check int) "no plan built concurrently" misses
+    (T.value T.c_plan_cache_misses)
+
 (* ------------------------------------------------------------------ *)
 
 (* Scan-cache coherence: a revision bump (row insert) landing between
@@ -368,6 +400,7 @@ let suite =
       Helpers.case "pooled replay matches the sequential oracle" pool_replay;
       Helpers.case "shared-connection replay matches the oracle"
         connection_replay;
+      Helpers.case "cached-plan replay matches the oracle" cached_plan_replay;
       Helpers.case "scan cache stays coherent across a revision bump"
         scan_cache_coherence;
       Helpers.case "exhausted pool raises SQLSTATE 53300" pool_exhaustion;

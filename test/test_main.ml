@@ -23,5 +23,6 @@ let () =
       Test_scan_cache.suite;
       Test_vectorize.suite;
       Test_columnar.suite;
+      Test_plan_cache.suite;
       Test_concurrency.suite;
       Test_net.suite ]

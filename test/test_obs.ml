@@ -160,6 +160,195 @@ let test_fingerprint_digests () =
   Alcotest.(check string) "fingerprint pairs digest with shape" digest
     (Fingerprint.digest shape)
 
+(* The list-based normalizer the one-pass [Fingerprint] replaced, kept
+   verbatim as the oracle: tokens, IN-list collapse, then spacing. *)
+module Fingerprint_oracle = struct
+  let is_ident_start c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '$'
+  let is_digit c = c >= '0' && c <= '9'
+  let two_char_ops = [ "<="; ">="; "<>"; "!="; "||" ]
+
+  let tokens sql =
+    let n = String.length sql in
+    let toks = ref [] in
+    let push t = toks := t :: !toks in
+    let i = ref 0 in
+    while !i < n do
+      let c = sql.[!i] in
+      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+      else if c = '-' && !i + 1 < n && sql.[!i + 1] = '-' then begin
+        while !i < n && sql.[!i] <> '\n' do incr i done
+      end
+      else if c = '/' && !i + 1 < n && sql.[!i + 1] = '*' then begin
+        i := !i + 2;
+        let fin = ref false in
+        while not !fin && !i < n do
+          if sql.[!i] = '*' && !i + 1 < n && sql.[!i + 1] = '/' then begin
+            i := !i + 2;
+            fin := true
+          end
+          else incr i
+        done
+      end
+      else if c = '\'' then begin
+        incr i;
+        let fin = ref false in
+        while not !fin && !i < n do
+          if sql.[!i] = '\'' then
+            if !i + 1 < n && sql.[!i + 1] = '\'' then i := !i + 2
+            else begin
+              incr i;
+              fin := true
+            end
+          else incr i
+        done;
+        push "?"
+      end
+      else if c = '"' then begin
+        let start = !i in
+        incr i;
+        while !i < n && sql.[!i] <> '"' do incr i done;
+        if !i < n then incr i;
+        push (String.sub sql start (!i - start))
+      end
+      else if is_digit c || (c = '.' && !i + 1 < n && is_digit sql.[!i + 1])
+      then begin
+        while !i < n && is_digit sql.[!i] do incr i done;
+        if !i < n && sql.[!i] = '.' then begin
+          incr i;
+          while !i < n && is_digit sql.[!i] do incr i done
+        end;
+        if !i < n && (sql.[!i] = 'e' || sql.[!i] = 'E') then begin
+          let j = !i + 1 in
+          let j =
+            if j < n && (sql.[j] = '+' || sql.[j] = '-') then j + 1 else j
+          in
+          if j < n && is_digit sql.[j] then begin
+            i := j;
+            while !i < n && is_digit sql.[!i] do incr i done
+          end
+        end;
+        push "?"
+      end
+      else if is_ident_start c then begin
+        let start = !i in
+        while !i < n && is_ident_char sql.[!i] do incr i done;
+        push (String.uppercase_ascii (String.sub sql start (!i - start)))
+      end
+      else begin
+        let two = if !i + 1 < n then Some (String.sub sql !i 2) else None in
+        match two with
+        | Some op when List.mem op two_char_ops ->
+          push op;
+          i := !i + 2
+        | _ ->
+          push (String.make 1 c);
+          incr i
+      end
+    done;
+    List.rev !toks
+
+  let rec collapse_in_lists = function
+    | "IN" :: "(" :: "?" :: rest -> (
+      let rec eat = function
+        | "," :: "?" :: r -> eat r
+        | ")" :: r -> Some r
+        | _ -> None
+      in
+      match eat rest with
+      | Some r -> "IN" :: "(" :: "?" :: ")" :: collapse_in_lists r
+      | None -> "IN" :: "(" :: "?" :: collapse_in_lists rest)
+    | tok :: rest -> tok :: collapse_in_lists rest
+    | [] -> []
+
+  let assemble toks =
+    let buf = Buffer.create 128 in
+    let no_space_before t = t = "," || t = ")" || t = "." || t = "(" in
+    let no_space_after t = t = "(" || t = "." in
+    let prev = ref None in
+    List.iter
+      (fun t ->
+        (match !prev with
+        | Some p when (not (no_space_before t)) && not (no_space_after p) ->
+          Buffer.add_char buf ' '
+        | _ -> ());
+        Buffer.add_string buf t;
+        prev := Some t)
+      toks;
+    Buffer.contents buf
+
+  let normalize sql = assemble (collapse_in_lists (tokens sql))
+
+  let digest_of_normalized s =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.logxor !h (Int64.of_int (Char.code c));
+        h := Int64.mul !h 0x100000001b3L)
+      s;
+    Printf.sprintf "%016Lx" !h
+
+  let fingerprint sql =
+    let n = normalize sql in
+    (digest_of_normalized n, n)
+end
+
+(* Querygen statements with edge-case fragments spliced in at random
+   word boundaries: comments (closed and not), quotes with '' escapes
+   and unterminated, exponents, IN-lists (literal, mixed, nested,
+   unclosed), two-character operators, quoted identifiers and stray
+   bytes. *)
+let fingerprint_fragments =
+  [| "/* c */"; "/* open"; "-- line\n"; "-- tail"; "'it''s'"; "'open"; "''";
+     "1e5"; "2.5E-3"; ".5"; "7e"; "3.e+"; "IN (1, 2, 3)"; "in ('a','b')";
+     "IN (?)"; "IN (1, x)"; "IN (1,"; "IN (1, IN (2, 3))"; "IN ( )";
+     "IN ( 4 ) IN (5"; "\"Quoted Id\""; "\"open"; "<="; ">="; "<>"; "!=";
+     "||"; "<"; "|"; "!"; "a.b"; "(."; "x$1"; "_u"; "\t"; "\r\n"; "\xc3\xa9";
+     ";"; "*"; ","; ")"; "(" |]
+
+let fingerprint_input_gen =
+  let tables =
+    Aqua_dsp.Metadata.list_tables (Lazy.force Test_differential.random_app)
+  in
+  QCheck.make
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    (fun rand ->
+      let profile =
+        if Random.State.bool rand then Aqua_workload.Querygen.reporting_profile
+        else Aqua_workload.Querygen.default_profile
+      in
+      let sql = Aqua_workload.Querygen.generate_sql ~profile rand tables in
+      let sql =
+        if Random.State.bool rand then String.lowercase_ascii sql else sql
+      in
+      let fragment () =
+        fingerprint_fragments.(Random.State.int rand
+                                 (Array.length fingerprint_fragments))
+      in
+      String.concat " "
+        (List.concat_map
+           (fun w -> if Random.State.int rand 6 = 0 then [ w; fragment () ] else [ w ])
+           (String.split_on_char ' ' sql)))
+
+let prop_fingerprint_matches_oracle =
+  QCheck.Test.make ~name:"fingerprint matches the list-based oracle" ~count:500
+    fingerprint_input_gen
+    (fun sql -> Fingerprint.fingerprint sql = Fingerprint_oracle.fingerprint sql)
+
+let test_fingerprint_edge_cases () =
+  List.iter
+    (fun sql ->
+      Alcotest.(check (pair string string)) sql
+        (Fingerprint_oracle.fingerprint sql)
+        (Fingerprint.fingerprint sql))
+    ([ ""; " "; "IN"; "IN ("; "IN (1"; "IN (1,"; "IN (1, 2"; "IN (1 2)";
+       "x IN (1, 2) IN (3)"; "IN (1)) IN ((2))"; "f(a.b, .5e3) -- c";
+       "SELECT 'a''' || \"b\"\"c\" FROM t"; "a<>b<=c>=d!=e||f<g>h";
+       "1e+5 1e- 1.2.3 ..4"; "/**/x/*"; "select\x00\xff" ]
+    @ Array.to_list fingerprint_fragments)
+
 (* --- stats registry through the driver ------------------------------ *)
 
 let test_stats_through_driver () =
@@ -452,6 +641,8 @@ let suite =
       case "histogram quantile json" test_histogram_json;
       case "fingerprint normalization goldens" test_fingerprint_goldens;
       case "fingerprint digests" test_fingerprint_digests;
+      case "fingerprint edge cases match the oracle" test_fingerprint_edge_cases;
+      Helpers.qcheck prop_fingerprint_matches_oracle;
       case "stats registry through the driver" test_stats_through_driver;
       case "recorder ring is bounded" test_recorder_ring_bounds;
       case "recorder dumps on failpoint fault" test_recorder_dump_on_failpoint;
